@@ -15,7 +15,7 @@ EncodedScan wire layout (frozen):
     [value_block]             PFOR stream
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -99,6 +99,19 @@ class EncodedScan:
     mask_block: bytes
     value_block: bytes
     residual_plain: bool = False    # mode bit1
+    # (mask_block, its plaintext): the block is inflated at most once
+    _mask_cache: tuple[bytes, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def mask_plaintext(self) -> bytes:
+        """The inflated mask block, computed on first use and kept."""
+        cache = self._mask_cache
+        if cache is None or cache[0] is not self.mask_block:
+            cache = (self.mask_block,
+                     bytecomp.decompress_block(self.mask_block))
+            self._mask_cache = cache
+        return cache[1]
 
     def to_bytes(self) -> bytes:
         flags = int(self.mode) | (2 if self.residual_plain else 0)
@@ -123,14 +136,16 @@ class EncodedScan:
             raise CorruptStreamError(f"reserved mode bits set: {flags:#x}")
         value_count, pos = decode_uvarint(buf, 1)
         mask_start = pos
-        _, pos = bytecomp.parse_block(buf, pos)
+        mask_plain, pos = bytecomp.parse_block(buf, pos)
         mask_block = bytes(buf[mask_start:pos])
         vlen, pos = decode_uvarint(buf, pos)
         if pos + vlen != len(buf):
             raise CorruptStreamError("scan record length mismatch")
-        return cls(mode=Mode(flags & 1), value_count=value_count,
-                   mask_block=mask_block, value_block=bytes(buf[pos:pos + vlen]),
-                   residual_plain=bool(flags & 2))
+        enc = cls(mode=Mode(flags & 1), value_count=value_count,
+                  mask_block=mask_block, value_block=bytes(buf[pos:pos + vlen]),
+                  residual_plain=bool(flags & 2))
+        enc._mask_cache = (mask_block, mask_plain)
+        return enc
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +279,7 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     """
     dtype = sample_dtype(sample_width)
     shape = (rows, cols)
-    mask_bytes = bytecomp.decompress_block(enc.mask_block)
+    mask_bytes = enc.mask_plaintext
 
     if enc.mode == Mode.P:
         if state.samples is None:

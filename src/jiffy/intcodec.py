@@ -21,6 +21,21 @@ encoder evaluates all 33 candidate widths and keeps the cheapest total,
 breaking ties toward the smaller width, so the emitted size is the format's
 per-block optimum by construction.
 
+Decoding walks the block headers in Python once per block: reference,
+width and exception count are read and range-checked, and each block's
+exception area is skipped, not decoded, by counting varint terminator bytes
+with ``bytes.count`` (a few C-level counts per block, whatever the number of
+exceptions). Everything else is whole-array numpy work over the stream:
+
+* all exception positions are gathered at once and checked (below the
+  block length, strictly increasing within the block);
+* all remainder varints are decoded together and checked (at most 5 bytes,
+  minimal form, nonzero, fitting in the bits above the width);
+* packed areas are unpacked per width: offset i is the 8-byte word at byte
+  ``i*w >> 3``, shifted right by ``i*w & 7`` and masked to w bits;
+* exceptions are patched in with one fancy-index add that rejects any value
+  overflowing uint32.
+
 Two delta/ZigZag variants live here. ``delta_encode``/``zigzag_encode`` are
 the exact integer operations: deltas are true differences (33-bit signed),
 ZigZag(x) = 2|x| + [x < 0] with |x| < 2^31. The ``*_wrap`` array variants
@@ -33,14 +48,18 @@ codec uses the wrapped variants so arbitrary 32-bit samples roundtrip.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CorruptStreamError, TruncatedStreamError
-from .varint import (decode_uvarint, encode_uvarint, uvarint_len_array,
-                     write_uvarints)
+from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
+                     uvarint_len_array, write_uvarints)
 
 BLOCK_SIZE = 128
 
 _U32_MAX = 0xFFFFFFFF
+
+# bytes.translate table: 1 for varint continuation bytes (>= 0x80), else 0
+_CONTINUATION = bytes(b >> 7 for b in range(256))
 
 # Remainder varint bytes by (offset bit length, candidate width): ceil((l-b)/7).
 _L = np.arange(33)
@@ -181,69 +200,75 @@ def pfor_decode(data) -> np.ndarray:
     # be backed by this buffer, so reject before allocating.
     if n > (total // 3 + 1) * BLOCK_SIZE:
         raise CorruptStreamError("value count larger than stream could hold")
-    out = np.empty(n, dtype=np.uint32)
 
-    # Header scan collects per-block geometry; payloads are unpacked in bulk
-    # afterwards, grouped by width.
-    refs, widths, offs, lens = [], [], [], []
-    exceptions = []                         # (block_idx, position, remainder)
-    produced = 0
-    while produced < n:
-        blen = min(BLOCK_SIZE, n - produced)
-        ref, pos = decode_uvarint(buf, pos)
-        if ref > _U32_MAX:
-            raise CorruptStreamError("block reference exceeds uint32")
-        if pos >= total:
+    # Header walk: per-block geometry, O(1) per block. Exception areas are
+    # only located here; their contents are checked and applied in bulk.
+    refs, widths, offs = [], [], []
+    exc_bases, exc_starts, exc_counts, exc_ends = [], [], [], []
+    count_cont = buf.translate(_CONTINUATION).count
+    for base in range(0, n, BLOCK_SIZE):
+        blen = min(BLOCK_SIZE, n - base)
+        # Reference and exception count are usually one byte each: read those
+        # inline and leave longer varints to decode_uvarint.
+        if pos + 3 > total:
             raise TruncatedStreamError("truncated block header")
+        ref = buf[pos]
+        if ref < 0x80:
+            pos += 1
+        else:
+            ref, pos = decode_uvarint(buf, pos)
+            if ref > _U32_MAX:
+                raise CorruptStreamError("block reference exceeds uint32")
+            if pos + 2 > total:
+                raise TruncatedStreamError("truncated block header")
         width = buf[pos]
-        pos += 1
         if width > 32:
             raise CorruptStreamError(f"bit width {width} exceeds 32")
-        exc_count, pos = decode_uvarint(buf, pos)
+        exc_count = buf[pos + 1]
+        if exc_count < 0x80:
+            pos += 2
+        else:
+            exc_count, pos = decode_uvarint(buf, pos + 1)
         if exc_count > blen:
             raise CorruptStreamError("exception count exceeds block length")
         nbytes = (blen * width + 7) // 8
         if pos + nbytes > total:
             raise TruncatedStreamError("truncated block payload")
-        block_idx = len(refs)
         refs.append(ref)
         widths.append(width)
         offs.append(pos)
-        lens.append(blen)
         pos += nbytes
         if exc_count:
-            if pos + exc_count > total:
-                raise TruncatedStreamError("truncated exception positions")
-            positions = buf[pos:pos + exc_count]
+            exc_bases.append(base)
+            exc_starts.append(pos)
+            exc_counts.append(exc_count)
+            # Skip the position bytes, then the remainder varints: a range of
+            # `need` bytes with c continuation bytes (>= 0x80) ends need - c
+            # varints, so c more are still due.
             pos += exc_count
-            last = -1
-            for p in positions:
-                if p <= last or p >= blen:
-                    raise CorruptStreamError("exception positions not strictly "
-                                             "increasing within block")
-                last = p
-            rem_limit = _U32_MAX >> width
-            for p in positions:
-                rem, pos = decode_uvarint(buf, pos)
-                if rem > rem_limit:
-                    raise CorruptStreamError("exception remainder overflows uint32")
-                exceptions.append((block_idx, p, rem))
-        produced += blen
+            need = exc_count
+            while need:
+                stop = pos + need
+                if stop > total:
+                    raise TruncatedStreamError("truncated exception area")
+                need = count_cont(1, pos, stop)
+                pos = stop
+            exc_ends.append(pos)
     if pos != total:
         raise CorruptStreamError("trailing bytes after final block")
     if n == 0:
-        return out
+        return np.empty(0, dtype=np.uint32)
 
+    # Seven zero bytes of padding let every packed offset be read as one
+    # little-endian 8-byte word.
+    arr = np.frombuffer(buf + bytes(7), dtype=np.uint8)
     widths_arr = np.asarray(widths, dtype=np.int64)
-    _unpack_blocks(buf, np.asarray(refs, dtype=np.uint32), widths_arr,
-                   np.asarray(offs, dtype=np.int64),
-                   np.asarray(lens, dtype=np.int64), out)
-    for bi, p, rem in exceptions:
-        idx = bi * BLOCK_SIZE + p
-        val = int(out[idx]) + (rem << int(widths_arr[bi]))
-        if val > _U32_MAX:
-            raise CorruptStreamError("patched value overflows uint32")
-        out[idx] = val
+    out = _unpack_blocks(arr, np.asarray(refs, dtype=np.uint32), widths_arr,
+                         np.asarray(offs, dtype=np.int64), n)
+    if exc_bases:
+        _patch_exceptions(arr, out, widths_arr, n,
+                          *(np.asarray(a, dtype=np.int64) for a in
+                            (exc_bases, exc_starts, exc_counts, exc_ends)))
     return out
 
 
@@ -306,20 +331,6 @@ def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
                          bitorder="little")                       # (m, blen, 8*nb)
     lane = np.ascontiguousarray(bits[:, :, :width]).reshape(m, blen * width)
     return np.packbits(lane, axis=1, bitorder="little")
-
-
-def _unpack_bits(payload: np.ndarray, width: int, blen: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`. payload: (m, nbytes) -> (m, blen) uint32."""
-    m = payload.shape[0]
-    nb = (width + 7) // 8
-    bits = np.unpackbits(payload, axis=1, bitorder="little")[:, :blen * width]
-    lanes = np.zeros((m, blen, 8 * nb), dtype=np.uint8)
-    lanes[:, :, :width] = bits.reshape(m, blen, width)
-    packed = np.packbits(lanes.reshape(m, blen * 8 * nb), axis=1,
-                         bitorder="little").reshape(m, blen, nb)
-    out = np.zeros((m, blen, 4), dtype=np.uint8)
-    out[:, :, :nb] = packed
-    return out.view("<u4").reshape(m, blen)
 
 
 def _encode_blocks(v: np.ndarray) -> bytes:
@@ -385,41 +396,94 @@ def _encode_blocks(v: np.ndarray) -> bytes:
     return buf.tobytes()
 
 
-def _unpack_blocks(buf: bytes, refs, widths, offs, lens, out: np.ndarray):
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    nblk = refs.size
-    has_tail = bool(nblk) and lens[-1] != BLOCK_SIZE
-    nfull = nblk - 1 if has_tail else nblk
+def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
+    """Unpack every block's packed area and add its reference.
+
+    ``arr`` is the stream with 7 bytes of zero padding. Full blocks are
+    unpacked together per bit width, then the tail block on its own.
+    """
+    out = np.empty(n, dtype=np.uint32)
+    # words[i] = the 8 bytes from offset i as a little-endian integer
+    words = sliding_window_view(arr, 8).view("<u8")[:, 0]
+    nfull = n // BLOCK_SIZE
     if nfull:
         view = out[:nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE)
         fw = widths[:nfull]
         for width in np.unique(fw):
-            w = int(width)
-            sel = np.nonzero(fw == width)[0]
-            if w == 0:
-                vals = np.zeros((sel.size, BLOCK_SIZE), dtype=np.uint32)
-            else:
-                nbytes = (BLOCK_SIZE * w + 7) // 8
-                payload = arr[offs[sel, None] + np.arange(nbytes)]
-                vals = _unpack_bits(payload, w, BLOCK_SIZE)
-            _apply_reference(vals, refs[sel])
-            view[sel] = vals
-    if has_tail:
-        blen = int(lens[-1])
-        w = int(widths[-1])
-        if w == 0:
-            vals = np.zeros((1, blen), dtype=np.uint32)
-        else:
-            nbytes = (blen * w + 7) // 8
-            payload = arr[int(offs[-1]):int(offs[-1]) + nbytes][None, :]
-            vals = _unpack_bits(payload, w, blen)
-        _apply_reference(vals, refs[-1:])
-        out[nfull * BLOCK_SIZE:] = vals[0]
+            sel = np.flatnonzero(fw == width)
+            view[sel] = _unpack_width(words, offs[sel], int(width), BLOCK_SIZE,
+                                      refs[sel])
+    tail = n - nfull * BLOCK_SIZE
+    if tail:
+        out[nfull * BLOCK_SIZE:] = _unpack_width(words, offs[-1:], int(widths[-1]),
+                                                 tail, refs[-1:])[0]
+    return out
 
 
-def _apply_reference(vals: np.ndarray, refs: np.ndarray):
-    # Detect uint32 overflow (only corrupt streams produce it).
-    risky = refs.astype(np.int64) + vals.max(axis=1) > _U32_MAX
-    if risky.any():
-        raise CorruptStreamError("block value overflows uint32")
+def _unpack_width(words: np.ndarray, offs, width: int, blen: int, refs):
+    """Values of blocks sharing one bit width: (m,) offsets -> (m, blen).
+
+    Offset i of a block starts at bit i*width of its packed area: read the
+    word at byte (i*width) >> 3, shift right by (i*width) & 7 and mask.
+    """
+    if width == 0:
+        vals = np.zeros((offs.size, blen), dtype=np.uint32)
+    else:
+        bit = np.arange(blen, dtype=np.int64) * width
+        # take() copes with the unaligned words far faster than [] does
+        raw = words.take(offs[:, None] + (bit >> 3))
+        raw >>= (bit & 7).astype(np.uint64)
+        raw &= np.uint64((1 << width) - 1)
+        vals = raw.astype(np.uint32)
+    _apply_reference(vals, refs, width)
+    return vals
+
+
+def _patch_exceptions(arr: np.ndarray, out: np.ndarray, widths, n: int,
+                      bases, starts, counts, ends):
+    """Check and apply every exception of the stream in one pass.
+
+    One entry per block with exceptions: the index of its first value,
+    where its position bytes start, how many there are, and where its
+    remainder varints end.
+    """
+    nexc = int(counts.sum())
+    first = np.cumsum(counts) - counts              # block's first exception
+    positions = arr[np.arange(nexc) + np.repeat(starts - first, counts)] \
+        .astype(np.int64)
+    step = np.diff(positions)
+    step[first[1:] - 1] = 1                         # a new block may restart
+    blen = np.repeat(np.minimum(BLOCK_SIZE, n - bases), counts)
+    if np.any(step <= 0) or np.any(positions >= blen):
+        raise CorruptStreamError("exception positions not strictly "
+                                 "increasing within block")
+
+    rem_starts = starts + counts
+    rem_lens = ends - rem_starts
+    rem_first = np.cumsum(rem_lens) - rem_lens
+    rem_bytes = arr[np.arange(int(rem_lens.sum()))
+                    + np.repeat(rem_starts - rem_first, rem_lens)]
+    # Each run holds exactly its block's count of varints (the header walk
+    # counted them), so remainders line up with positions.
+    rems = decode_uvarints(rem_bytes, 5)
+    if not rems.all():
+        raise CorruptStreamError("zero exception remainder")
+    shift = np.repeat(widths[bases // BLOCK_SIZE], counts).astype(np.uint64)
+    if np.any(rems > np.uint64(_U32_MAX) >> shift):
+        raise CorruptStreamError("exception remainder overflows uint32")
+
+    idx = np.repeat(bases, counts) + positions
+    patched = out[idx].astype(np.uint64) + (rems << shift)
+    if patched.max() > _U32_MAX:
+        raise CorruptStreamError("patched value overflows uint32")
+    out[idx] = patched
+
+
+def _apply_reference(vals: np.ndarray, refs: np.ndarray, width: int):
+    # Detect uint32 overflow (only corrupt streams produce it); a reference
+    # leaving room for every width-bit offset needs no per-value look.
+    if int(refs.max()) + (1 << width) - 1 > _U32_MAX:
+        risky = refs.astype(np.int64) + vals.max(axis=1) > _U32_MAX
+        if risky.any():
+            raise CorruptStreamError("block value overflows uint32")
     vals += refs[:, None]

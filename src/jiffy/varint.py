@@ -1,8 +1,10 @@
 """LEB128 variable-length integers (7 bits per byte, continuation bit 0x80).
 
-Scalar helpers for header/stream parsing plus vectorized writers used by the
-block encoder, where thousands of varints per scan make per-value Python
-calls too slow.
+Scalar helpers for header/stream parsing plus a vectorized writer used by the
+block encoder and a vectorized reader used by the block decoder, where
+thousands of varints per scan make per-value Python calls too slow. Both
+readers reject overlong encodings: a multi-byte varint whose last byte is
+0x00 has a shorter form, and FORMAT.md requires the shortest.
 """
 
 import numpy as np
@@ -31,7 +33,8 @@ def decode_uvarint(buf, offset: int = 0) -> tuple[int, int]:
     """Decode one varint from ``buf`` at ``offset``.
 
     Returns (value, next_offset). Raises TruncatedStreamError when the buffer
-    ends mid-varint and CorruptStreamError for overlong encodings.
+    ends mid-varint and CorruptStreamError for overlong encodings (more than
+    10 bytes, or a multi-byte varint ending in 0x00).
     """
     result = 0
     shift = 0
@@ -46,8 +49,35 @@ def decode_uvarint(buf, offset: int = 0) -> tuple[int, int]:
         pos += 1
         result |= (b & 0x7F) << shift
         if not b & 0x80:
+            if b == 0 and pos - offset > 1:
+                raise CorruptStreamError("overlong varint")
             return result, pos
         shift += 7
+
+
+def decode_uvarints(data: np.ndarray, max_len: int) -> np.ndarray:
+    """Decode a run of back-to-back varints held in the uint8 array ``data``.
+
+    The run must end on a terminator byte (< 0x80), so every byte belongs to
+    a complete varint. Raises CorruptStreamError for a varint longer than
+    ``max_len`` bytes or one in overlong form. Returns the values as uint64,
+    exact for varints of up to 9 bytes.
+    """
+    ends = np.flatnonzero(data < 0x80)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    lens = ends - starts + 1
+    longest = int(lens.max(initial=0))
+    if longest > max_len:
+        raise CorruptStreamError(f"varint exceeds {max_len} bytes")
+    if np.any((data[ends] == 0) & (lens > 1)):
+        raise CorruptStreamError("overlong varint")
+    groups = (data & 0x7F).astype(np.uint64)
+    values = groups[starts]
+    for k in range(1, longest):
+        more = np.flatnonzero(lens > k)
+        values[more] |= groups[starts[more] + k] << np.uint64(7 * k)
+    return values
 
 
 def uvarint_len(value: int) -> int:

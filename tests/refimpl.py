@@ -105,6 +105,81 @@ def ref_pfor_decode(buf: bytes):
     return values
 
 
+class RefReject(Exception):
+    """The strict reference decoder found its input invalid."""
+
+
+def ref_read_varint_strict(buf: bytes, pos: int):
+    """Read one varint, enforcing FORMAT.md: complete, at most 10 bytes,
+    shortest form (a multi-byte varint may not end in a 0x00 byte)."""
+    start = pos
+    shift = 0
+    result = 0
+    while True:
+        if pos >= len(buf):
+            raise RefReject("truncated varint")
+        if pos - start == 10:
+            raise RefReject("varint longer than 10 bytes")
+        b = buf[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if not b & 0x80:
+            if b == 0 and pos - start > 1:
+                raise RefReject("overlong varint")
+            return result, pos
+        shift += 7
+
+
+def ref_pfor_decode_strict(buf: bytes):
+    """PFOR decoder that checks every decoder rule FORMAT.md states.
+
+    Returns the values, or raises RefReject at the first rule broken. The
+    canonical-layout properties (reference is the block minimum, the width is
+    the optimum, unused packed bits are zero) are encoder duties, not
+    decoder checks, so they are not tested here.
+    """
+    n, pos = ref_read_varint_strict(buf, 0)
+    values = []
+    while len(values) < n:
+        blen = min(BLOCK, n - len(values))
+        ref, pos = ref_read_varint_strict(buf, pos)
+        if pos >= len(buf):
+            raise RefReject("truncated block header")
+        w = buf[pos]
+        pos += 1
+        if w > 32:
+            raise RefReject("bit width above 32")
+        nexc, pos = ref_read_varint_strict(buf, pos)
+        if nexc > blen:
+            raise RefReject("more exceptions than values")
+        nbytes = (blen * w + 7) // 8
+        if pos + nbytes > len(buf):
+            raise RefReject("truncated packed area")
+        acc = int.from_bytes(buf[pos:pos + nbytes], "little")
+        pos += nbytes
+        block = [ref + ((acc >> (i * w)) & ((1 << w) - 1)) for i in range(blen)]
+        if pos + nexc > len(buf):
+            raise RefReject("truncated exception positions")
+        positions = list(buf[pos:pos + nexc])
+        pos += nexc
+        for i, p in enumerate(positions):
+            if p >= blen:
+                raise RefReject("exception position outside block")
+            if i and p <= positions[i - 1]:
+                raise RefReject("exception positions not increasing")
+        for p in positions:
+            rem, pos = ref_read_varint_strict(buf, pos)
+            if rem == 0:
+                raise RefReject("zero exception remainder")
+            block[p] += rem << w
+        if max(block) > U32:
+            raise RefReject("value above 2^32 - 1")
+        values.extend(block)
+    if pos != len(buf):
+        raise RefReject("trailing bytes")
+    return values
+
+
 def ref_zigzag(x: int) -> int:
     return 2 * abs(x) + (1 if x < 0 else 0)
 

@@ -219,7 +219,8 @@ def test_criterion_8_throughput():
     assert rep.encode_scans_per_s > 0 and rep.decode_scans_per_s > 0
     assert rep.encode_points_per_s >= 10e6, \
         f"encode {rep.encode_points_per_s / 1e6:.1f} Mpts/s < 10 Mpts/s"
-    assert rep.decode_points_per_s > 0
+    assert rep.decode_points_per_s >= 10e6, \
+        f"decode {rep.decode_points_per_s / 1e6:.1f} Mpts/s < 10 Mpts/s"
     print(f"criterion 8 PASS: encode {rep.encode_scans_per_s:.0f} scans/s "
           f"({rep.encode_points_per_s / 1e6:.1f} Mpts/s), decode "
           f"{rep.decode_scans_per_s:.0f} scans/s "

@@ -72,6 +72,28 @@ def test_wire_roundtrip(seed):
     assert back == enc
 
 
+def test_mask_block_inflated_once(monkeypatch):
+    calls = []
+    parse = bytecomp.parse_block
+    monkeypatch.setattr(bytecomp, "parse_block",
+                        lambda *a: calls.append(1) or parse(*a))
+    proto = mkscan(GOLDEN_SCAN)
+    enc = EncodedScan.from_bytes(GOLDEN_BYTES)
+    roundtrip(enc, CodecState(), proto)
+    assert len(calls) == 1                  # from_bytes; decode reuses it
+    built = encode_i(proto)
+    roundtrip(built, CodecState(), proto)
+    roundtrip(built, CodecState(), proto)
+    assert len(calls) == 2                  # first decode of a built scan
+
+
+def test_mask_plaintext_follows_mask_block():
+    enc = EncodedScan.from_bytes(GOLDEN_BYTES)
+    assert enc.mask_plaintext == b"\x45"
+    enc.mask_block = bytecomp.compress_block(b"\x44", bytecomp.STORED)
+    assert enc.mask_plaintext == b"\x44"
+
+
 # ---------------------------------------------------------------------------
 # I-scans
 

@@ -7,8 +7,10 @@ from jiffy.intcodec import (BLOCK_SIZE, delta_decode, delta_encode,
                             delta_unwrap, delta_wrap, iter_blocks,
                             pfor_decode, pfor_encode, zigzag_decode,
                             zigzag_encode, zigzag_unwrap, zigzag_wrap)
+from jiffy.varint import encode_uvarint
 
-from .refimpl import (ref_optimal_width, ref_pfor_decode, ref_pfor_encode,
+from .refimpl import (RefReject, ref_optimal_width, ref_pfor_decode,
+                      ref_pfor_decode_strict, ref_pfor_encode,
                       ref_wrapped_pipeline_decode, ref_wrapped_pipeline_encode,
                       ref_zigzag)
 
@@ -219,6 +221,50 @@ def test_pfor_accepts_other_int_dtypes():
     assert pfor_decode(pfor_encode(v)).tolist() == [1, 2, 3]
 
 
+def _width_case(width, n, remainder_bytes, rng):
+    """n values whose blocks pack at ``width``: offsets of bit length
+    ``width`` around one zero offset, plus exceptions at each block's first
+    and last position whose remainders take ``remainder_bytes`` bytes."""
+    v = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, BLOCK_SIZE):
+        blen = min(BLOCK_SIZE, n - start)
+        ref = 0 if width == 32 else int(rng.integers(0, 1000))
+        off = np.zeros(blen, dtype=np.uint64)
+        if width:
+            off[:] = rng.integers(1 << (width - 1), 1 << width, size=blen)
+        if blen > 2:
+            off[1] = 0
+            if width < 32:
+                # r remainder bytes: offset bit length in width + 7r - 6 .. 7r
+                low_bits = width + 7 * remainder_bytes - 6
+                hi = min(1 << min(32, width + 7 * remainder_bytes),
+                         (1 << 32) - ref)
+                off[[0, blen - 1]] = rng.integers(1 << (low_bits - 1), hi,
+                                                  size=2)
+            else:
+                off[blen - 1] = 0xFFFFFFFF
+        v[start:start + blen] = ref + off
+    return v.astype(np.uint32)
+
+
+@pytest.mark.parametrize("width", range(33))
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_pfor_every_width_roundtrips(width, n):
+    rng = np.random.default_rng(width * 1000 + n)
+    for r in range(1, max(1, (32 - width + 6) // 7) + 1):
+        v = _width_case(width, n, r, rng)
+        enc = pfor_encode(v)
+        assert enc == ref_pfor_encode(v.tolist())
+        assert np.array_equal(pfor_decode(enc), v)
+        for b in iter_blocks(enc):
+            if b.length > 2:
+                assert b.bit_width == width
+                if width < 32:
+                    assert [p for p, _ in b.exceptions] == [0, b.length - 1]
+                    assert all(len(encode_uvarint(rem)) == r
+                               for _, rem in b.exceptions)
+
+
 # --- malformed streams -----------------------------------------------------
 
 
@@ -252,6 +298,9 @@ def test_pfor_bad_width_detected():
     bad[p] = 40
     with pytest.raises(CorruptStreamError):
         pfor_decode(bytes(bad))
+    # width 33 with a packed area of the matching 5 bytes
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(bytes([1, 0, 33, 0, 1, 0, 0, 0, 0]))
 
 
 def test_pfor_absurd_count_rejected_quickly():
@@ -285,6 +334,103 @@ def test_pfor_truncation_fuzz_never_crashes():
             pfor_decode(bad)
         except JiffyError:
             pass
+
+
+def test_pfor_zero_remainder_rejected():
+    # n=2, ref 0, width 1, one exception at position 0 with remainder 0
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(bytes([2, 0, 1, 1, 1, 0, 0]))
+    assert pfor_decode(bytes([2, 0, 1, 1, 1, 0, 1])).tolist() == [3, 0]
+
+
+def test_pfor_overlong_remainder_rejected():
+    # remainder 1 written as the two bytes 81 00
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(bytes([2, 0, 1, 1, 1, 0, 0x81, 0x00]))
+
+
+def test_pfor_remainder_limits():
+    # width 4: remainders must fit in 28 bits, and the patched value in 32
+    head = bytes([1, 0, 4, 1, 0, 0])                # n=1, ref 0, w 4, 1 exc
+    top = (1 << 28) - 1
+    assert pfor_decode(head + encode_uvarint(top)).tolist() == [top << 4]
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(head + encode_uvarint(top + 1))
+    with pytest.raises(CorruptStreamError):         # 6-byte remainder
+        pfor_decode(head + encode_uvarint(1 << 35))
+    low = bytes([1, 0, 4, 1, 0x0F, 0])             # packed low bits 15
+    assert pfor_decode(low + encode_uvarint(top)).tolist() == [0xFFFFFFFF]
+    with pytest.raises(CorruptStreamError):         # ref 1 + 0xFFFFFFFF
+        pfor_decode(bytes([1, 1, 4, 1, 0x0F, 0]) + encode_uvarint(top))
+    # width 32 leaves no room: 2^32 << 32 would wrap to 0 in 64 bits
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(bytes([1, 0, 32, 1, 0, 0, 0, 0, 0]) + encode_uvarint(1 << 32))
+    # no exception: reference 0xFFFFFFFF plus a packed offset of 1
+    ref = encode_uvarint(0xFFFFFFFF)
+    assert pfor_decode(bytes([1]) + ref + bytes([1, 0, 0])).tolist() == [0xFFFFFFFF]
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(bytes([1]) + ref + bytes([1, 0, 1]))
+
+
+def test_pfor_positions_checked():
+    # n=3, ref 0, width 0, two exceptions
+    ok = bytes([3, 0, 0, 2, 0, 2, 5, 6])
+    assert pfor_decode(ok).tolist() == [5, 0, 6]
+    for positions in ([2, 0], [1, 1], [0, 3]):
+        with pytest.raises(CorruptStreamError):
+            pfor_decode(bytes([3, 0, 0, 2, *positions, 5, 6]))
+
+
+def _strict_or_none(buf):
+    try:
+        return ref_pfor_decode_strict(buf)
+    except RefReject:
+        return None
+
+
+def _lib_or_none(buf):
+    try:
+        return pfor_decode(buf).tolist()
+    except JiffyError:
+        return None
+
+
+def _mutate(enc: bytes, rng) -> bytes:
+    kind = int(rng.integers(0, 4))
+    if kind == 0:                                   # xor 1-3 bytes
+        bad = bytearray(enc)
+        for _ in range(int(rng.integers(1, 4))):
+            bad[int(rng.integers(0, len(bad)))] ^= int(rng.integers(1, 256))
+        return bytes(bad)
+    if kind == 1:                                   # set a byte to an edge value
+        bad = bytearray(enc)
+        bad[int(rng.integers(0, len(bad)))] = int(
+            rng.choice([0x00, 0x01, 0x7F, 0x80, 0x81, 0xFF]))
+        return bytes(bad)
+    if kind == 2:                                   # truncate
+        return enc[:int(rng.integers(0, len(enc)))]
+    return enc + rng.integers(0, 256, size=int(rng.integers(1, 4)),
+                              dtype=np.uint8).tobytes()
+
+
+def test_pfor_decode_matches_strict_oracle_under_mutation():
+    rng = np.random.default_rng(2209)
+    streams = []
+    for n in (1, 3, 40, 128, 129, 300):
+        v = rng.integers(0, 300, size=n, dtype=np.uint32)
+        spikes = rng.random(n) < 0.1
+        v[spikes] = rng.integers(0, 1 << 32, size=int(spikes.sum()),
+                                 dtype=np.uint64)
+        streams.append(pfor_encode(v))
+    accepted = 0
+    for i in range(3000):
+        bad = _mutate(streams[i % len(streams)], rng)
+        want = _strict_or_none(bad)
+        got = _lib_or_none(bad)
+        assert got == want, bad.hex()
+        accepted += want is not None
+    # flips inside packed areas keep a stream valid: both sides get exercised
+    assert 300 < accepted < 2700
 
 
 # ---------------------------------------------------------------------------

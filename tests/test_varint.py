@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jiffy.errors import CorruptStreamError, TruncatedStreamError
-from jiffy.varint import (decode_uvarint, encode_uvarint, uvarint_len,
-                          uvarint_len_array, write_uvarints)
+from jiffy.varint import (decode_uvarint, decode_uvarints, encode_uvarint,
+                          uvarint_len, uvarint_len_array, write_uvarints)
 
 from .refimpl import ref_varint
 
@@ -52,6 +52,15 @@ def test_overlong_raises():
         decode_uvarint(b"\x80" * 10 + b"\x01")
 
 
+@pytest.mark.parametrize("encoded", [b"\x80\x00", b"\xff\x00",
+                                     b"\x81\x80\x00", b"\x80" * 9 + b"\x00"])
+def test_non_minimal_raises(encoded):
+    with pytest.raises(CorruptStreamError):
+        decode_uvarint(encoded)
+    with pytest.raises(CorruptStreamError):
+        decode_uvarints(np.frombuffer(encoded, dtype=np.uint8), 10)
+
+
 def test_decode_mid_buffer():
     buf = b"\xff" + encode_uvarint(300) + b"\x07"
     assert decode_uvarint(buf, 1) == (300, 3)
@@ -76,3 +85,20 @@ def test_write_uvarints_matches_scalar(values):
     ends = write_uvarints(buf, starts, arr)
     assert buf.tobytes() == b"".join(encode_uvarint(v) for v in values)
     assert ends.tolist() == (starts + lens).tolist()
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1),
+                min_size=1, max_size=40))
+def test_decode_uvarints_matches_scalar(values):
+    data = b"".join(encode_uvarint(v) for v in values)
+    got = decode_uvarints(np.frombuffer(data, dtype=np.uint8), 9)
+    assert got.dtype == np.uint64
+    assert got.tolist() == values
+
+
+def test_decode_uvarints_length_cap():
+    data = np.frombuffer(encode_uvarint(1) + encode_uvarint(1 << 35),
+                         dtype=np.uint8)
+    assert decode_uvarints(data, 6).tolist() == [1, 1 << 35]
+    with pytest.raises(CorruptStreamError):
+        decode_uvarints(data, 5)
