@@ -15,24 +15,19 @@ Quick use::
     enc = encode(scan, state)                       # EncodedScan
     ...
 
-Streams on disk go through jiffy.container (StreamWriter / StreamReader);
-the `jiffy` console script wraps the whole thing.
+Streams on disk go through StreamWriter / StreamReader; the `jiffy`
+console script wraps the whole thing. The single stages (jiffy.bitmask,
+jiffy.intcodec, jiffy.bytecomp), jiffy.codec's encode_i / encode_p /
+select_mode and the jiffy.bench harness are imported from their modules.
 """
 
-from .bench import run_ablation, run_bench, run_heuristic_eval, run_sweep
-from .bitmask import (compact, expand, extract_mask, pack_mask, unpack_mask,
-                      xor_mask)
-from .bytecomp import compress_block, decompress_block
-from .codec import (DEFAULT_PIPELINE, CodecState, DecoderState, EncodedScan,
-                    EncoderState, Mode, ModeConfig, PipelineConfig, Policy,
-                    decode, encode, encode_i, encode_p, select_mode)
+from .codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy, decode,
+                    encode)
 from .container import (StreamHeader, StreamReader, StreamWriter, read_stream,
                         write_stream)
 from .errors import (BadMagicError, ChecksumMismatchError, CorruptStreamError,
                      JiffyError, TruncatedStreamError, UnknownCodecError,
                      UnsupportedVersionError)
-from .intcodec import (delta_decode, delta_encode, pfor_decode, pfor_encode,
-                       zigzag_decode, zigzag_encode)
 from .rawio import RawSequenceSpec
 from .scan import (BeamLayout, QuantizationSpec, Scan, ScanType, canonicalize,
                    dequantize, quantize)
@@ -43,16 +38,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Scan", "ScanType", "QuantizationSpec", "BeamLayout",
     "quantize", "dequantize", "canonicalize",
-    "extract_mask", "compact", "expand", "xor_mask", "pack_mask",
-    "unpack_mask", "compress_block", "decompress_block",
-    "delta_encode", "delta_decode", "zigzag_encode", "zigzag_decode",
-    "pfor_encode", "pfor_decode",
-    "Mode", "Policy", "ModeConfig", "PipelineConfig", "DEFAULT_PIPELINE",
-    "CodecState", "EncoderState", "DecoderState", "EncodedScan",
-    "encode", "encode_i", "encode_p", "select_mode", "decode",
+    "Mode", "Policy", "ModeConfig", "CodecState", "EncodedScan",
+    "encode", "decode",
     "StreamHeader", "StreamWriter", "StreamReader", "read_stream",
     "write_stream", "RawSequenceSpec", "generate",
-    "run_bench", "run_ablation", "run_sweep", "run_heuristic_eval",
     "JiffyError", "CorruptStreamError", "TruncatedStreamError",
     "ChecksumMismatchError", "BadMagicError", "UnsupportedVersionError",
     "UnknownCodecError",

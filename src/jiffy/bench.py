@@ -5,6 +5,10 @@ rates, not disk rates. Encode and decode are timed separately with a warm-up
 pass excluded; repetitions give a timing spread. Every runner decodes what it
 encoded and compares sample-exact, so a reported number from a broken build
 is impossible.
+
+The ablation's partial pipelines live here, not in the codec: the unmasked
+rungs run their value stages straight into PFOR and check their own round
+trip, while the masked rungs are the shipping codec under a mode policy.
 """
 
 import csv
@@ -15,17 +19,24 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bytecomp
-from .codec import (DEFAULT_PIPELINE, CodecState, Mode, ModeConfig,
-                    PipelineConfig, Policy, decode, encode, encode_i,
-                    encode_p, select_mode)
+from .codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy, decode,
+                    encode, encode_i, encode_p, select_mode)
+from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
+                       zigzag_unwrap, zigzag_wrap)
 from .scan import QuantizationSpec, Scan, ScanType, quantize
 
+_DELTA = (delta_wrap, delta_unwrap)
+_ZIGZAG = (zigzag_wrap, zigzag_unwrap)
+
+# (variant, value stages as (forward, inverse) pairs, mode policy). A rung
+# with stages keeps every sample (no zero mask) and codes I-scans only; a
+# rung with a policy is the shipping codec.
 ABLATION_LADDER = (
-    ("pfor", PipelineConfig(mask=False, delta=False, zigzag=False), Policy.FORCE_I),
-    ("delta+pfor", PipelineConfig(mask=False, delta=True, zigzag=False), Policy.FORCE_I),
-    ("delta+zigzag+pfor", PipelineConfig(mask=False, delta=True, zigzag=True), Policy.FORCE_I),
-    ("mask+delta+zigzag+pfor", PipelineConfig(), Policy.FORCE_I),
-    ("full", PipelineConfig(), Policy.AUTO),
+    ("pfor", (), None),
+    ("delta+pfor", (_DELTA,), None),
+    ("delta+zigzag+pfor", (_DELTA, _ZIGZAG), None),
+    ("mask+delta+zigzag+pfor", None, Policy.FORCE_I),
+    ("full", None, Policy.AUTO),
 )
 
 
@@ -110,12 +121,12 @@ def write_csv(path: str, rows: list[dict]):
         w.writerows(rows)
 
 
-def _encode_all(scans, mode_cfg, cfg, mask_codec, times=None):
+def _encode_all(scans, mode_cfg, mask_codec, times=None):
     state = CodecState()
     out = []
     for scan in scans:
         t0 = time.perf_counter()
-        enc = encode(scan, state, mode_cfg, cfg, mask_codec)
+        enc = encode(scan, state, mode_cfg, mask_codec)
         t1 = time.perf_counter()
         out.append(enc)
         if times is not None:
@@ -123,13 +134,13 @@ def _encode_all(scans, mode_cfg, cfg, mask_codec, times=None):
     return out
 
 
-def _decode_all(encs, proto: Scan, cfg, times=None):
+def _decode_all(encs, proto: Scan, times=None):
     state = CodecState()
     out = []
     for enc in encs:
         t0 = time.perf_counter()
         scan = decode(enc, state, proto.scan_type, proto.sample_width,
-                      proto.rows, proto.cols, cfg)
+                      proto.rows, proto.cols)
         t1 = time.perf_counter()
         out.append(scan)
         if times is not None:
@@ -143,6 +154,31 @@ def _verify_same(scans, decoded):
             raise AssertionError(f"decode mismatch at frame {i}")
 
 
+def _encode_unmasked(scans, stages, mask_codec):
+    """I-scan records of every sample run through ``stages`` into PFOR.
+
+    The mask block is the empty one the shipping layout needs anyway, so the
+    byte counts compare with the masked rungs. Each record is decoded with
+    ``pfor_decode`` and the inverse stages and checked sample-exact.
+    """
+    out = []
+    for i, scan in enumerate(scans):
+        values = scan.samples.astype(np.uint32).ravel()
+        codes = values
+        for forward, _ in stages:
+            codes = forward(codes)
+        value_block = pfor_encode(codes)
+        back = pfor_decode(value_block)
+        for _, inverse in reversed(stages):
+            back = inverse(back)
+        if not np.array_equal(back, values):
+            raise AssertionError(f"decode mismatch at frame {i}")
+        out.append(EncodedScan(Mode.I, values.size,
+                               bytecomp.compress_block(b"", mask_codec),
+                               value_block))
+    return out
+
+
 def run_bench(scans: list[Scan], reps: int = 3,
               mode_cfg: ModeConfig = ModeConfig(),
               mask_codec: int = bytecomp.DEFAULT_CODEC) -> BenchReport:
@@ -152,11 +188,10 @@ def run_bench(scans: list[Scan], reps: int = 3,
     if reps < 1:
         raise ValueError("reps must be positive")
     proto = scans[0]
-    cfg = DEFAULT_PIPELINE
 
     # warm-up, also produces the verified reference encoding
-    encs = _encode_all(scans, mode_cfg, cfg, mask_codec)
-    decoded = _decode_all(encs, proto, cfg)
+    encs = _encode_all(scans, mode_cfg, mask_codec)
+    decoded = _decode_all(encs, proto)
     _verify_same(scans, decoded)
 
     enc_totals, dec_totals = [], []
@@ -164,11 +199,11 @@ def run_bench(scans: list[Scan], reps: int = 3,
     for _ in range(reps):
         frame_enc = []
         t0 = time.perf_counter()
-        encs = _encode_all(scans, mode_cfg, cfg, mask_codec, frame_enc)
+        encs = _encode_all(scans, mode_cfg, mask_codec, frame_enc)
         enc_totals.append(time.perf_counter() - t0)
         frame_dec = []
         t0 = time.perf_counter()
-        _decode_all(encs, proto, cfg, frame_dec)
+        _decode_all(encs, proto, frame_dec)
         dec_totals.append(time.perf_counter() - t0)
 
     points = proto.rows * proto.cols
@@ -202,10 +237,9 @@ def run_ablation(scans: list[Scan], input_bytes_per_sample: int | None = None,
                  mask_codec: int = bytecomp.DEFAULT_CODEC) -> list[dict]:
     """Measure the pipeline ladder on one sequence.
 
-    Each variant reconfigures the shipping codec, encodes the whole sequence,
-    decodes it back and checks equality, then reports its ratio. Ratios use
-    the ingested representation size (element bytes per sample), defaulting
-    to the quantized width.
+    Each variant encodes the whole sequence, decodes it back and checks
+    equality, then reports its ratio. Ratios use the ingested representation
+    size (element bytes per sample), defaulting to the quantized width.
     """
     if not scans:
         raise ValueError("no scans to ablate")
@@ -213,11 +247,12 @@ def run_ablation(scans: list[Scan], input_bytes_per_sample: int | None = None,
     bps = input_bytes_per_sample or proto.sample_width
     total_in = len(scans) * proto.rows * proto.cols * bps
     out = []
-    for name, cfg, policy in ABLATION_LADDER:
-        mode_cfg = ModeConfig(policy=policy)
-        encs = _encode_all(scans, mode_cfg, cfg, mask_codec)
-        decoded = _decode_all(encs, proto, cfg)
-        _verify_same(scans, decoded)
+    for name, stages, policy in ABLATION_LADDER:
+        if policy is None:
+            encs = _encode_unmasked(scans, stages, mask_codec)
+        else:
+            encs = _encode_all(scans, ModeConfig(policy=policy), mask_codec)
+            _verify_same(scans, _decode_all(encs, proto))
         total_out = sum(e.total_bytes for e in encs)
         out.append({
             "variant": name,
@@ -247,8 +282,8 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)
         scans = as_scans(frames, spec, scan_type)
-        encs = _encode_all(scans, mode_cfg, DEFAULT_PIPELINE, mask_codec)
-        decoded = _decode_all(encs, scans[0], DEFAULT_PIPELINE)
+        encs = _encode_all(scans, mode_cfg, mask_codec)
+        decoded = _decode_all(encs, scans[0])
         _verify_same(scans, decoded)
         total_out = sum(e.total_bytes for e in encs)
         rows.append({
@@ -271,16 +306,15 @@ def run_heuristic_eval(scans: list[Scan], test_lines: int = 4,
     """
     if len(scans) < 2:
         raise ValueError("heuristic evaluation needs at least 2 scans")
-    cfg = DEFAULT_PIPELINE
     mode_cfg = ModeConfig(policy=Policy.AUTO, test_lines=test_lines)
     state = CodecState()
-    encode(scans[0], state, mode_cfg, cfg, mask_codec)     # frame 0 is always I
+    encode(scans[0], state, mode_cfg, mask_codec)     # frame 0 is always I
 
     evaluated = sub_i = sub_p = 0
     for scan in scans[1:]:
-        size_i = encode_i(scan, cfg, mask_codec).total_bytes
-        size_p = encode_p(scan, state, cfg, mask_codec).total_bytes
-        choice = select_mode(scan, state, mode_cfg, cfg)
+        size_i = encode_i(scan, mask_codec).total_bytes
+        size_p = encode_p(scan, state, mask_codec).total_bytes
+        choice = select_mode(scan, state, mode_cfg)
         if choice == Mode.I and size_p < size_i:
             sub_i += 1
         elif choice == Mode.P and size_i < size_p:

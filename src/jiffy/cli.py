@@ -13,8 +13,7 @@ import numpy as np
 
 from . import bench as benchmod
 from . import bytecomp, rawio, synthetic
-from .codec import (DEFAULT_PIPELINE, CodecState, Mode, ModeConfig, Policy,
-                    decode, encode)
+from .codec import CodecState, Mode, ModeConfig, Policy, decode, encode
 from .container import HEADER_SIZE, StreamHeader, StreamReader, StreamWriter
 from .errors import JiffyError
 from .rawio import ELEMENT_TYPES, RawSequenceSpec

@@ -7,8 +7,9 @@ the current mask, pushed through the same value pipeline.
 
 EncodedScan wire layout (frozen):
 
-    [mode: 1 byte]            bit0 = P-scan, bit1 = residuals coded without
-                              the spatial delta (ablation variant, default 0)
+    [mode: 1 byte]            bit0 = P-scan; bit1 = P residuals coded
+                              without the spatial delta (read on P-scans,
+                              ignored on I-scans, never set by this encoder)
     [value_count: varint]     samples surviving the current mask
     [mask_block]              see bytecomp
     [value_block_len: varint]
@@ -51,26 +52,6 @@ class ModeConfig:
             raise ValueError("test_lines must be positive")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Which stages of the value pipeline run.
-
-    The shipping configuration is all-on; the partial variants exist for the
-    ablation harness, which measures the same code paths with stages removed
-    rather than maintaining parallel implementations. ``residual_delta``
-    controls whether P-scan residuals get the spatial delta before ZigZag;
-    it is the one variant with a wire bit (mode bit1).
-    """
-
-    mask: bool = True
-    delta: bool = True
-    zigzag: bool = True
-    residual_delta: bool = True
-
-
-DEFAULT_PIPELINE = PipelineConfig()
-
-
 @dataclass
 class CodecState:
     """Reference scan for P-coding; one per stream direction.
@@ -86,10 +67,6 @@ class CodecState:
     def update(self, samples: np.ndarray, mask: np.ndarray):
         self.samples = samples
         self.mask = mask
-
-
-EncoderState = CodecState
-DecoderState = CodecState
 
 
 @dataclass
@@ -152,78 +129,41 @@ class EncodedScan:
 # value pipeline
 
 
-def _forward_i(values: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    codes = values
-    if cfg.delta:
-        codes = delta_wrap(codes)
-    if cfg.zigzag:
-        codes = zigzag_wrap(codes)
-    return codes
-
-
-def _inverse_i(codes: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    if cfg.zigzag:
-        codes = zigzag_unwrap(codes)
-    if cfg.delta:
-        codes = delta_unwrap(codes)
-    return codes
-
-
-def _forward_p(residuals: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    if cfg.residual_delta:
-        residuals = delta_wrap(residuals)
-    return zigzag_wrap(residuals)
-
-
-def _inverse_p(codes: np.ndarray, residual_plain: bool) -> np.ndarray:
-    residuals = zigzag_unwrap(codes)
-    if not residual_plain:
-        residuals = delta_unwrap(residuals)
-    return residuals
-
-
-def _pipeline_mask(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    if cfg.mask:
-        return extract_mask(samples)
-    return np.zeros(samples.shape, dtype=bool)
+def _forward(values: np.ndarray) -> np.ndarray:
+    return zigzag_wrap(delta_wrap(values))
 
 
 # ---------------------------------------------------------------------------
 # encode
 
 
-def encode_i(scan: Scan, cfg: PipelineConfig = DEFAULT_PIPELINE,
+def encode_i(scan: Scan,
              mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    mask = _pipeline_mask(scan.samples, cfg)
+    mask = extract_mask(scan.samples)
     values = compact(scan.samples, mask)
-    mask_block = bytecomp.compress_block(pack_mask(mask) if cfg.mask else b"",
-                                         mask_codec)
-    value_block = pfor_encode(_forward_i(values, cfg))
+    mask_block = bytecomp.compress_block(pack_mask(mask), mask_codec)
+    value_block = pfor_encode(_forward(values))
     return EncodedScan(Mode.I, values.size, mask_block, value_block)
 
 
 def encode_p(scan: Scan, state: CodecState,
-             cfg: PipelineConfig = DEFAULT_PIPELINE,
              mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
     if state.samples is None:
         raise JiffyError("P-scan requested with no previous scan")
     if state.samples.shape != scan.samples.shape:
         raise ValueError("scan shape differs from reference")
-    cur_mask = _pipeline_mask(scan.samples, cfg)
-    mask_bytes = (pack_mask(xor_mask(cur_mask, state.mask)) if cfg.mask
-                  else b"")
+    cur_mask = extract_mask(scan.samples)
+    mask_bytes = pack_mask(xor_mask(cur_mask, state.mask))
     cur = compact(scan.samples, cur_mask)
     prev = compact(state.samples, cur_mask)     # previous scan, current mask
     residuals = cur - prev                      # uint32, wraps
-    value_block = pfor_encode(_forward_p(residuals, cfg))
+    value_block = pfor_encode(_forward(residuals))
     return EncodedScan(Mode.P, cur.size,
                        bytecomp.compress_block(mask_bytes, mask_codec),
-                       value_block,
-                       residual_plain=not cfg.residual_delta)
+                       value_block)
 
 
-def select_mode(scan: Scan, state: CodecState, mode_cfg: ModeConfig,
-                cfg: PipelineConfig = DEFAULT_PIPELINE) -> Mode:
+def select_mode(scan: Scan, state: CodecState, mode_cfg: ModeConfig) -> Mode:
     """Pick I or P by trial-compressing a few scanlines.
 
     Runs only the value pipeline (mask compression excluded) over
@@ -243,25 +183,23 @@ def select_mode(scan: Scan, state: CodecState, mode_cfg: ModeConfig,
     cur_rows = scan.samples[idx]
     prev_rows = state.samples[idx]
 
-    mask = extract_mask(cur_rows) if cfg.mask else np.zeros(cur_rows.shape, bool)
+    mask = extract_mask(cur_rows)
     cur = compact(cur_rows, mask)
-    i_bytes = len(pfor_encode(_forward_i(cur, cfg)))
+    i_bytes = len(pfor_encode(_forward(cur)))
     residuals = cur - compact(prev_rows, mask)
-    p_bytes = len(pfor_encode(_forward_p(residuals, cfg)))
+    p_bytes = len(pfor_encode(_forward(residuals)))
     return Mode.P if p_bytes < i_bytes else Mode.I
 
 
 def encode(scan: Scan, state: CodecState,
            mode_cfg: ModeConfig = ModeConfig(),
-           cfg: PipelineConfig = DEFAULT_PIPELINE,
            mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
     """Encode one scan, updating ``state`` with it for the next P decision."""
-    mode = select_mode(scan, state, mode_cfg, cfg)
-    if mode == Mode.P:
-        enc = encode_p(scan, state, cfg, mask_codec)
+    if select_mode(scan, state, mode_cfg) == Mode.P:
+        enc = encode_p(scan, state, mask_codec)
     else:
-        enc = encode_i(scan, cfg, mask_codec)
-    state.update(scan.samples, _pipeline_mask(scan.samples, cfg))
+        enc = encode_i(scan, mask_codec)
+    state.update(scan.samples, extract_mask(scan.samples))
     return enc
 
 
@@ -270,60 +208,43 @@ def encode(scan: Scan, state: CodecState,
 
 
 def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
-           sample_width: int, rows: int, cols: int,
-           cfg: PipelineConfig = DEFAULT_PIPELINE) -> Scan:
+           sample_width: int, rows: int, cols: int) -> Scan:
     """Reconstruct a scan bit-exactly, updating ``state``.
 
-    Raises CorruptStreamError whenever the record is internally inconsistent
+    Everything but the output geometry comes from the record itself. Raises
+    CorruptStreamError whenever the record is internally inconsistent
     (counts, ranges, masked zeros), rather than returning a plausible scan.
     """
     dtype = sample_dtype(sample_width)
-    shape = (rows, cols)
-    mask_bytes = enc.mask_plaintext
+    is_p = enc.mode == Mode.P
+    if is_p and state.samples is None:
+        raise CorruptStreamError("P-scan with no reference scan")
+    cur_mask = unpack_mask(enc.mask_plaintext, (rows, cols))
+    if is_p:
+        cur_mask = xor_mask(cur_mask, state.mask)
+    clear = int(cur_mask.size - np.count_nonzero(cur_mask))
+    if enc.value_count != clear:
+        raise CorruptStreamError(
+            f"value count {enc.value_count} does not match mask ({clear})")
+    codes = pfor_decode(enc.value_block)
+    if codes.size != clear:
+        raise CorruptStreamError("value block count mismatch")
+    values = zigzag_unwrap(codes)
+    if not (is_p and enc.residual_plain):   # mode bit1 counts on P-scans only
+        values = delta_unwrap(values)
+    if is_p:
+        values = compact(state.samples, cur_mask) + values  # uint32, wraps back
 
-    if enc.mode == Mode.P:
-        if state.samples is None:
-            raise CorruptStreamError("P-scan with no reference scan")
-        if cfg.mask:
-            xorm = unpack_mask(mask_bytes, shape)
-            cur_mask = xor_mask(xorm, state.mask)
-        else:
-            cur_mask = np.zeros(shape, dtype=bool)
-        _check_count(enc, cur_mask)
-        prev = compact(state.samples, cur_mask)
-        residuals = _inverse_p(pfor_decode(enc.value_block), enc.residual_plain)
-        if residuals.size != prev.size:
-            raise CorruptStreamError("value block count mismatch")
-        values = prev + residuals               # uint32, wraps back
-    else:
-        if cfg.mask:
-            cur_mask = unpack_mask(mask_bytes, shape)
-        else:
-            cur_mask = np.zeros(shape, dtype=bool)
-        _check_count(enc, cur_mask)
-        values = _inverse_i(pfor_decode(enc.value_block), cfg)
-        if values.size != enc.value_count:
-            raise CorruptStreamError("value block count mismatch")
-
-    limit = int(np.iinfo(dtype).max)
-    if values.size and int(values.max()) > limit:
+    if values.size and int(values.max()) > int(np.iinfo(dtype).max):
         raise CorruptStreamError("decoded sample exceeds sample width")
-    if cfg.mask and values.size and not values.all():
+    if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
     samples = expand(values, cur_mask, dtype)
     state.update(samples, cur_mask)
     return Scan(scan_type, sample_width, samples)
 
 
-def _check_count(enc: EncodedScan, cur_mask: np.ndarray):
-    clear = int(cur_mask.size - np.count_nonzero(cur_mask))
-    if enc.value_count != clear:
-        raise CorruptStreamError(
-            f"value count {enc.value_count} does not match mask ({clear})")
-
-
 __all__ = [
-    "Mode", "Policy", "ModeConfig", "PipelineConfig", "DEFAULT_PIPELINE",
-    "CodecState", "EncoderState", "DecoderState", "EncodedScan",
+    "Mode", "Policy", "ModeConfig", "CodecState", "EncodedScan",
     "encode_i", "encode_p", "select_mode", "encode", "decode",
 ]

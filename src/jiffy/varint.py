@@ -34,7 +34,8 @@ def decode_uvarint(buf, offset: int = 0) -> tuple[int, int]:
 
     Returns (value, next_offset). Raises TruncatedStreamError when the buffer
     ends mid-varint and CorruptStreamError for overlong encodings (more than
-    10 bytes, or a multi-byte varint ending in 0x00).
+    10 bytes, or a multi-byte varint ending in 0x00) and for values above
+    2^64 - 1 (a 10th byte other than 0x00 or 0x01).
     """
     result = 0
     shift = 0
@@ -47,6 +48,8 @@ def decode_uvarint(buf, offset: int = 0) -> tuple[int, int]:
             raise CorruptStreamError("varint exceeds 10 bytes")
         b = buf[pos]
         pos += 1
+        if shift == 63 and b > 0x01:
+            raise CorruptStreamError("varint exceeds 2^64 - 1")
         result |= (b & 0x7F) << shift
         if not b & 0x80:
             if b == 0 and pos - offset > 1:

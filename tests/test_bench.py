@@ -96,6 +96,15 @@ def test_ablation_required_ordering():
     for r in rows.values():
         assert r["bits_per_sample"] == pytest.approx(
             8 * r["output_bytes"] / (6 * 64 * 1024))
+    # exact sizes pin every rung's bytes, not just their order
+    assert {name: (r["output_bytes"], r["p_scans"])
+            for name, r in rows.items()} == {
+        "pfor": (703641, 0),
+        "delta+pfor": (1068165, 0),
+        "delta+zigzag+pfor": (536879, 0),
+        "mask+delta+zigzag+pfor": (416263, 0),
+        "full": (315394, 5),
+    }
 
 
 def test_ablation_ratio_uses_ingested_width():

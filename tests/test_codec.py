@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jiffy import bytecomp
-from jiffy.bitmask import extract_mask, unpack_mask
-from jiffy.codec import (DEFAULT_PIPELINE, CodecState, EncodedScan, Mode,
-                         ModeConfig, PipelineConfig, Policy, decode, encode,
-                         encode_i, encode_p, select_mode)
+from jiffy.bitmask import (compact, extract_mask, pack_mask, unpack_mask,
+                           xor_mask)
+from jiffy.codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy,
+                         decode, encode, encode_i, encode_p, select_mode)
 from jiffy.errors import CorruptStreamError, JiffyError
 from jiffy.intcodec import delta_wrap, pfor_decode, pfor_encode, zigzag_wrap
 from jiffy.scan import Scan, ScanType
@@ -24,9 +24,9 @@ def rand_scan(rng, rows, cols, width=2, sparsity=0.3, stype=ScanType.RANGE):
     return Scan(stype, width, s)
 
 
-def roundtrip(enc, state, proto, cfg=DEFAULT_PIPELINE):
+def roundtrip(enc, state, proto):
     return decode(enc, state, proto.scan_type, proto.sample_width,
-                  proto.rows, proto.cols, cfg)
+                  proto.rows, proto.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +196,45 @@ def test_encode_p_roundtrip(seed):
 
 
 def test_residual_plain_variant_roundtrips():
+    # mode bit1 on a P-scan: residuals skip the spatial delta. The encoder
+    # never emits it, so the record is built by hand.
     rng = np.random.default_rng(9)
-    cfg = PipelineConfig(residual_delta=False)
     prev, cur = rand_scan(rng, 8, 16), rand_scan(rng, 8, 16)
-    state = CodecState()
-    encode(prev, state, cfg=cfg)
-    enc = encode_p(cur, state, cfg)
+    cur_mask = extract_mask(cur.samples)
+    residuals = (compact(cur.samples, cur_mask)
+                 - compact(prev.samples, cur_mask))
+    mask_block = bytecomp.compress_block(
+        pack_mask(xor_mask(cur_mask, extract_mask(prev.samples))))
+    built = EncodedScan(Mode.P, residuals.size, mask_block,
+                        pfor_encode(zigzag_wrap(residuals)),
+                        residual_plain=True)
+    wire = built.to_bytes()
+    assert wire[0] == 0x03
+    enc = EncodedScan.from_bytes(wire)
     assert enc.residual_plain
-    assert EncodedScan.from_bytes(enc.to_bytes()).residual_plain
     dec = CodecState()
-    roundtrip(encode_i(prev, cfg), dec, prev, cfg)
-    assert roundtrip(enc, dec, cur, cfg) == cur
+    roundtrip(encode_i(prev), dec, prev)
+    assert roundtrip(enc, dec, cur) == cur
+
+
+def test_residual_plain_bit_ignored_on_i_scan():
+    rng = np.random.default_rng(10)
+    scan = rand_scan(rng, 8, 16)
+    plain = encode_i(scan)
+    flagged = EncodedScan.from_bytes(bytes([0x02]) + plain.to_bytes()[1:])
+    assert flagged.mode == Mode.I and flagged.residual_plain
+    assert roundtrip(flagged, CodecState(), scan) == \
+        roundtrip(plain, CodecState(), scan) == scan
+
+
+def test_encoder_never_sets_residual_plain():
+    rng = np.random.default_rng(11)
+    base = rng.integers(500, 600, size=(8, 16), dtype=np.uint16)
+    state = CodecState()
+    encs = [encode(Scan(ScanType.RANGE, 2, base + k), state)
+            for k in range(4)]
+    assert Mode.P in [e.mode for e in encs]
+    assert all(e.to_bytes()[0] & 0x02 == 0 for e in encs)
 
 
 # ---------------------------------------------------------------------------

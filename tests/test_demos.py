@@ -1,0 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 3
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps the files a demo writes inside the test's directory
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

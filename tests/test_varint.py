@@ -17,6 +17,7 @@ KNOWN = [
     (16383, b"\xff\x7f"),
     (16384, b"\x80\x80\x01"),
     (0xFFFFFFFF, b"\xff\xff\xff\xff\x0f"),
+    ((1 << 64) - 1, b"\xff" * 9 + b"\x01"),
 ]
 
 
@@ -50,6 +51,12 @@ def test_truncated_raises():
 def test_overlong_raises():
     with pytest.raises(CorruptStreamError):
         decode_uvarint(b"\x80" * 10 + b"\x01")
+
+
+@pytest.mark.parametrize("last", [0x02, 0x7F, 0x81])
+def test_above_uint64_raises(last):
+    with pytest.raises(CorruptStreamError, match="2\\^64"):
+        decode_uvarint(b"\xff" * 9 + bytes([last]))
 
 
 @pytest.mark.parametrize("encoded", [b"\x80\x00", b"\xff\x00",
