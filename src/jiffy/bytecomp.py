@@ -50,20 +50,22 @@ def compress_block(data: bytes, codec_id: int = DEFAULT_CODEC) -> bytes:
 
 def decompress_block(block: bytes, expected_len: int | None = None) -> bytes:
     """Decode one mask block, validating the declared length."""
-    data, _ = parse_block(block, 0)
-    if expected_len is not None and len(data) != expected_len:
-        raise CorruptStreamError(
-            f"mask block decodes to {len(data)} bytes, expected {expected_len}")
-    return data
+    return parse_block(block, 0, expected_len)[0]
 
 
-def parse_block(buf: bytes, offset: int) -> tuple[bytes, int]:
+def parse_block(buf: bytes, offset: int,
+                expected_len: int | None = None) -> tuple[bytes, int]:
     """Decode the mask block starting at ``offset``.
 
     Returns (uncompressed bytes, offset past the block). Used both standalone
-    and when a block is embedded ahead of further fields.
+    and when a block is embedded ahead of further fields. With
+    ``expected_len``, a block declaring any other length is rejected before
+    anything is inflated, so a hostile length cannot size the output.
     """
     ulen, pos = decode_uvarint(buf, offset)
+    if expected_len is not None and ulen != expected_len:
+        raise CorruptStreamError(
+            f"mask block declares {ulen} bytes, expected {expected_len}")
     if pos >= len(buf):
         raise TruncatedStreamError("truncated mask block header")
     codec_id = buf[pos]

@@ -105,7 +105,10 @@ class EncodedScan:
                 + len(self.value_block))
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "EncodedScan":
+    def from_bytes(cls, buf: bytes, *,
+                   mask_len: int | None = None) -> "EncodedScan":
+        """Parse a record; ``mask_len``, when given, is the only mask
+        plaintext length accepted (``ceil(rows*cols/8)`` for the stream)."""
         if len(buf) < 1:
             raise CorruptStreamError("empty scan record")
         flags = buf[0]
@@ -113,7 +116,7 @@ class EncodedScan:
             raise CorruptStreamError(f"reserved mode bits set: {flags:#x}")
         value_count, pos = decode_uvarint(buf, 1)
         mask_start = pos
-        mask_plain, pos = bytecomp.parse_block(buf, pos)
+        mask_plain, pos = bytecomp.parse_block(buf, pos, mask_len)
         mask_block = bytes(buf[mask_start:pos])
         vlen, pos = decode_uvarint(buf, pos)
         if pos + vlen != len(buf):
@@ -139,20 +142,27 @@ def _forward(values: np.ndarray) -> np.ndarray:
 
 def encode_i(scan: Scan,
              mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    mask = extract_mask(scan.samples)
+    return _encode_i(scan, extract_mask(scan.samples), mask_codec)
+
+
+def encode_p(scan: Scan, state: CodecState,
+             mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
+    return _encode_p(scan, state, extract_mask(scan.samples), mask_codec)
+
+
+def _encode_i(scan: Scan, mask: np.ndarray, mask_codec: int) -> EncodedScan:
     values = compact(scan.samples, mask)
     mask_block = bytecomp.compress_block(pack_mask(mask), mask_codec)
     value_block = pfor_encode(_forward(values))
     return EncodedScan(Mode.I, values.size, mask_block, value_block)
 
 
-def encode_p(scan: Scan, state: CodecState,
-             mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
+def _encode_p(scan: Scan, state: CodecState, cur_mask: np.ndarray,
+              mask_codec: int) -> EncodedScan:
     if state.samples is None:
         raise JiffyError("P-scan requested with no previous scan")
     if state.samples.shape != scan.samples.shape:
         raise ValueError("scan shape differs from reference")
-    cur_mask = extract_mask(scan.samples)
     mask_bytes = pack_mask(xor_mask(cur_mask, state.mask))
     cur = compact(scan.samples, cur_mask)
     prev = compact(state.samples, cur_mask)     # previous scan, current mask
@@ -195,11 +205,12 @@ def encode(scan: Scan, state: CodecState,
            mode_cfg: ModeConfig = ModeConfig(),
            mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
     """Encode one scan, updating ``state`` with it for the next P decision."""
+    mask = extract_mask(scan.samples)
     if select_mode(scan, state, mode_cfg) == Mode.P:
-        enc = encode_p(scan, state, mask_codec)
+        enc = _encode_p(scan, state, mask, mask_codec)
     else:
-        enc = encode_i(scan, mask_codec)
-    state.update(scan.samples, extract_mask(scan.samples))
+        enc = _encode_i(scan, mask, mask_codec)
+    state.update(scan.samples, mask)
     return enc
 
 

@@ -120,6 +120,7 @@ class StreamReader:
         self._source = source
         self.header = StreamHeader.from_bytes(self._read_exact(
             HEADER_SIZE, None, "header"))
+        self._mask_len = (self.header.rows * self.header.cols + 7) // 8
         self._index = 0
 
     def _read_exact(self, n: int, frame: int | None, what: str) -> bytes:
@@ -146,7 +147,7 @@ class StreamReader:
         if zlib.crc32(payload) != crc:
             raise ChecksumMismatchError("frame checksum mismatch", frame_index=i)
         try:
-            enc = EncodedScan.from_bytes(payload)
+            enc = EncodedScan.from_bytes(payload, mask_len=self._mask_len)
         except CorruptStreamError as e:
             raise type(e)(str(e), frame_index=i) from None
         self._index += 1

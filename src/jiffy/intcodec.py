@@ -21,6 +21,14 @@ encoder evaluates all 33 candidate widths and keeps the cheapest total,
 breaking ties toward the smaller width, so the emitted size is the format's
 per-block optimum by construction.
 
+Encoding packs whole blocks per width with 64-bit words, the mirror of the
+decoder's word reads below: offset i, masked to its low w bits, is shifted
+left by ``i*w & 63`` and summed into word ``i*w >> 6`` (fields in a word are
+disjoint, so the sum is an OR); an offset crossing a word boundary adds its
+high bits to the next word. The little-endian words, viewed as bytes and
+cut to ``ceil(blen*w/8)``, are the packed area, copied into the output as
+one contiguous row per block.
+
 Decoding walks the block headers in Python once per block: reference,
 width and exception count are read and range-checked, and each block's
 exception area is skipped, not decoded, by counting varint terminator bytes
@@ -45,10 +53,11 @@ lands on code 1, the one code the exact encoder never produces. The scan
 codec uses the wrapped variants so arbitrary 32-bit samples roundtrip.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CorruptStreamError, TruncatedStreamError
 from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
@@ -318,19 +327,42 @@ def _bit_lengths(a: np.ndarray) -> np.ndarray:
     return e.astype(np.int64)
 
 
+@functools.lru_cache(maxsize=None)     # at most 32 widths x 128 lengths
+def _pack_layout(width: int, blen: int) -> tuple:
+    """Where a block's offsets go among its 64-bit words, as read-only
+    arrays: each offset's left shift; the first offset of each word's run
+    and that word; the offsets crossing into the next word, their right
+    shift and the word they spill into."""
+    bit = np.arange(blen, dtype=np.int64) * width
+    word = bit >> 6
+    shift = (bit & 63).astype(np.uint64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    cross = np.flatnonzero(shift > np.uint64(64 - width))
+    layout = (shift, first, word[first], cross,
+              np.uint64(64) - shift[cross], word[cross] + 1)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
-    """Pack the low ``width`` bits of each uint32, LSB-first.
+    """Pack the low ``width`` bits of each uint32, LSB-first, in 64-bit
+    words (see the module docstring).
 
     offsets: (m, blen) uint32 -> (m, ceil(blen*width/8)) uint8.
     """
     m, blen = offsets.shape
-    nb = (width + 7) // 8
-    as_bytes = np.ascontiguousarray(offsets.astype("<u4", copy=False)) \
-        .view(np.uint8).reshape(m, blen, 4)[:, :, :nb]
-    bits = np.unpackbits(np.ascontiguousarray(as_bytes), axis=2,
-                         bitorder="little")                       # (m, blen, 8*nb)
-    lane = np.ascontiguousarray(bits[:, :, :width]).reshape(m, blen * width)
-    return np.packbits(lane, axis=1, bitorder="little")
+    shift, first, first_word, cross, spill_shift, spill_word = \
+        _pack_layout(width, blen)
+    v = offsets.astype(np.uint64)
+    if width < 32:
+        v &= np.uint64((1 << width) - 1)    # exceptions carry higher bits
+    spill = v[:, cross] >> spill_shift
+    v <<= shift
+    words = np.zeros((m, (blen * width + 63) >> 6), dtype="<u8")
+    words[:, first_word] = np.add.reduceat(v, first, axis=1)
+    words[:, spill_word] += spill
+    return words.view(np.uint8)[:, :(blen * width + 7) // 8]
 
 
 def _encode_blocks(v: np.ndarray) -> bytes:
@@ -376,7 +408,11 @@ def _encode_blocks(v: np.ndarray) -> bytes:
             continue
         sel = np.nonzero(bw == width)[0]
         packed = _pack_bits(off[sel], int(width))
-        buf[pos[sel, None] + np.arange(packed.shape[1])] = packed
+        # rows_at[p] is the row of bytes at p: one contiguous copy per block.
+        # The packed areas are disjoint, so no byte is written twice.
+        nb = packed.shape[1]
+        rows_at = as_strided(buf, (buf.size - nb + 1, nb), (1, 1))
+        rows_at[pos[sel]] = packed
     exc_start = pos + payload_bytes[bw]
 
     total_exc = int(exc_counts.sum())

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from jiffy import bytecomp
 from jiffy.errors import (CorruptStreamError, TruncatedStreamError,
                           UnknownCodecError)
+from jiffy.varint import encode_uvarint
 
 
 def test_stored_block_is_identity_plus_header():
@@ -62,6 +63,18 @@ def test_expected_len_mismatch():
     block = bytecomp.compress_block(b"abcd")
     with pytest.raises(CorruptStreamError):
         bytecomp.decompress_block(block, expected_len=5)
+
+
+def test_expected_len_checked_before_inflating():
+    block = bytecomp.compress_block(b"abcd")
+    assert bytecomp.parse_block(block, 0, 4) == (b"abcd", len(block))
+    for lie in (0, 3, 5, 1 << 40):
+        forged = encode_uvarint(lie) + block[1:]
+        with pytest.raises(CorruptStreamError, match="declares"):
+            bytecomp.parse_block(forged, 0, 4)
+    # the length is refused even when the body would not parse at all
+    with pytest.raises(CorruptStreamError, match="declares"):
+        bytecomp.parse_block(encode_uvarint(200_000_000) + b"\x01", 0, 16)
 
 
 def test_truncated_blocks():

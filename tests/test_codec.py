@@ -1,15 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jiffy import bytecomp
+from jiffy import bytecomp, codec
 from jiffy.bitmask import (compact, extract_mask, pack_mask, unpack_mask,
                            xor_mask)
 from jiffy.codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy,
                          decode, encode, encode_i, encode_p, select_mode)
 from jiffy.errors import CorruptStreamError, JiffyError
 from jiffy.intcodec import delta_wrap, pfor_decode, pfor_encode, zigzag_wrap
-from jiffy.scan import Scan, ScanType
+from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
+from jiffy.synthetic import generate
 
 
 def mkscan(samples, width=2, stype=ScanType.RANGE):
@@ -62,6 +65,42 @@ def test_from_bytes_rejects_garbage():
         EncodedScan.from_bytes(GOLDEN_BYTES + b"\x00")         # trailing
     with pytest.raises(CorruptStreamError):
         EncodedScan.from_bytes(GOLDEN_BYTES[:-1])              # short
+
+
+# sha256 over the wire bytes of 4 frames, 128x1024, seed 7, 1000 um, 2 bytes
+GOLDEN_STREAM_SHA256 = {
+    "random":
+        "4912ffe7423099e69320371f6326c6003877ca6f781d56bea9b91c92ec58719d",
+    "driving_like":
+        "2a641bd23e94b6e73b147a708b64861dc28e1308441ed193a7f47684a650459c",
+    "sparse_vertical":
+        "7ffe281aec016badd25efca2b69956d22f8dcd01d5959d5f0d65037ffc18c4fb",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_STREAM_SHA256))
+def test_encoder_golden_stream_bytes(kind):
+    spec = QuantizationSpec(1000, 2)
+    state = CodecState()
+    digest = hashlib.sha256()
+    for frame in generate(kind, 4, 128, 1024, seed=7):
+        digest.update(encode(quantize(frame, spec), state).to_bytes())
+    assert digest.hexdigest() == GOLDEN_STREAM_SHA256[kind]
+
+
+def test_encode_extracts_full_mask_once(monkeypatch):
+    shapes = []
+    extract = codec.extract_mask
+    monkeypatch.setattr(codec, "extract_mask",
+                        lambda a: shapes.append(a.shape) or extract(a))
+    rng = np.random.default_rng(3)
+    state = CodecState()
+    for policy in (Policy.AUTO, Policy.FORCE_I, Policy.FORCE_P):
+        shapes.clear()
+        scan = rand_scan(rng, 8, 16)
+        encode(scan, state, ModeConfig(policy))
+        assert shapes.count((8, 16)) == 1
+        assert np.array_equal(state.mask, extract(scan.samples))
 
 
 @given(st.integers(0, 10_000))

@@ -1,10 +1,12 @@
 import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from jiffy import bytecomp
 from jiffy.codec import CodecState, EncodedScan, Mode, encode, encode_i
 from jiffy.container import (HEADER_SIZE, MAGIC, StreamHeader, StreamReader,
                              StreamWriter, read_stream, write_stream)
@@ -12,6 +14,7 @@ from jiffy.errors import (BadMagicError, ChecksumMismatchError,
                           CorruptStreamError, JiffyError,
                           TruncatedStreamError, UnsupportedVersionError)
 from jiffy.scan import Scan, ScanType
+from jiffy.varint import encode_uvarint
 
 # StreamHeader(RANGE, rows=2, cols=4, width=2, precision 1000um, deflate, 3)
 GOLDEN_HEADER = bytes.fromhex(
@@ -176,6 +179,29 @@ def test_codec_error_wrapped_with_frame_index():
     with pytest.raises(CorruptStreamError) as ei:
         next(reader)
     assert ei.value.frame_index == 0
+
+
+def test_oversized_mask_rejected_before_inflating():
+    # An 8x16 stream's masks are 16 bytes; this ~200 KB I-frame's mask block
+    # declares, and really inflates to, 200 MiB.
+    co = zlib.compressobj(level=9, wbits=-15)
+    one_mib = co.compress(bytes(1 << 20)) + co.flush(zlib.Z_FULL_FLUSH)
+    mask_block = (encode_uvarint(200 << 20) + bytes([bytecomp.DEFLATE])
+                  + one_mib * 200 + co.flush())
+    buf = io.BytesIO()
+    write_stream(buf, StreamHeader(ScanType.RANGE, 8, 16, frame_count=1),
+                 [EncodedScan(Mode.I, 0, mask_block, b"\x00")])  # no values
+    raw = buf.getvalue()
+    tracemalloc.start()
+    try:
+        _, reader = read_stream(io.BytesIO(raw))
+        with pytest.raises(CorruptStreamError) as ei:
+            next(reader)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.frame_index == 0
+    assert peak < 4 * len(raw)
 
 
 def test_sampled_byte_flips_always_detected():

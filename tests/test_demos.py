@@ -15,10 +15,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files a demo writes inside the test's directory
+    # a TMPDIR of its own shows whether the demo cleans up after itself
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-               TMPDIR=str(tmp_path))
+               TMPDIR=str(tmpdir))
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

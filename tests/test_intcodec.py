@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
-from jiffy.intcodec import (BLOCK_SIZE, delta_decode, delta_encode,
-                            delta_unwrap, delta_wrap, iter_blocks,
-                            pfor_decode, pfor_encode, zigzag_decode,
-                            zigzag_encode, zigzag_unwrap, zigzag_wrap)
+from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_decode,
+                            delta_encode, delta_unwrap, delta_wrap,
+                            iter_blocks, pfor_decode, pfor_encode,
+                            zigzag_decode, zigzag_encode, zigzag_unwrap,
+                            zigzag_wrap)
 from jiffy.varint import encode_uvarint
 
 from .refimpl import (RefReject, ref_optimal_width, ref_pfor_decode,
@@ -219,6 +220,34 @@ def test_pfor_rejects_wrong_dtype():
 def test_pfor_accepts_other_int_dtypes():
     v = np.array([1, 2, 3], dtype=np.int16)
     assert pfor_decode(pfor_encode(v)).tolist() == [1, 2, 3]
+
+
+def _scalar_pack(row, width):
+    acc = 0
+    for i, v in enumerate(row):
+        acc |= (int(v) & ((1 << width) - 1)) << (i * width)
+    return acc.to_bytes((len(row) * width + 7) // 8, "little")
+
+
+@pytest.mark.parametrize("width", range(1, 33))
+def test_pack_bits_matches_scalar(width):
+    rng = np.random.default_rng(width)
+    for blen in (1, 7, 63, 64, 65, 127, 128):
+        rows = np.stack([
+            # full 32-bit words: bits above the width must be dropped
+            rng.integers(0, 1 << 32, size=blen, dtype=np.uint64),
+            # all ones: every field that crosses a 64-bit word spills
+            np.full(blen, 0xFFFFFFFF, dtype=np.uint64),
+            # in range, with the top bit of each field set
+            rng.integers(1 << (width - 1), 1 << width, size=blen,
+                         dtype=np.uint64),
+            np.zeros(blen, dtype=np.uint64),
+        ]).astype(np.uint32)
+        packed = _pack_bits(rows, width)
+        assert packed.dtype == np.uint8
+        assert packed.shape == (len(rows), (blen * width + 7) // 8)
+        for row, got in zip(rows, packed):
+            assert got.tobytes() == _scalar_pack(row, width)
 
 
 def _width_case(width, n, remainder_bytes, rng):
