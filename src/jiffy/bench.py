@@ -121,12 +121,12 @@ def write_csv(path: str, rows: list[dict]):
         w.writerows(rows)
 
 
-def _encode_all(scans, mode_cfg, mask_codec, times=None):
+def _encode_all(scans, mode_cfg, times=None):
     state = CodecState()
     out = []
     for scan in scans:
         t0 = time.perf_counter()
-        enc = encode(scan, state, mode_cfg, mask_codec)
+        enc = encode(scan, state, mode_cfg)
         t1 = time.perf_counter()
         out.append(enc)
         if times is not None:
@@ -154,7 +154,7 @@ def _verify_same(scans, decoded):
             raise AssertionError(f"decode mismatch at frame {i}")
 
 
-def _encode_unmasked(scans, stages, mask_codec):
+def _encode_unmasked(scans, stages):
     """I-scan records of every sample run through ``stages`` into PFOR.
 
     The mask block is the empty one the shipping layout needs anyway, so the
@@ -174,14 +174,13 @@ def _encode_unmasked(scans, stages, mask_codec):
         if not np.array_equal(back, values):
             raise AssertionError(f"decode mismatch at frame {i}")
         out.append(EncodedScan(Mode.I, values.size,
-                               bytecomp.compress_block(b"", mask_codec),
+                               bytecomp.compress_block(b""),
                                value_block))
     return out
 
 
 def run_bench(scans: list[Scan], reps: int = 3,
-              mode_cfg: ModeConfig = ModeConfig(),
-              mask_codec: int = bytecomp.DEFAULT_CODEC) -> BenchReport:
+              mode_cfg: ModeConfig = ModeConfig()) -> BenchReport:
     """Time encode and decode over ``reps`` passes and verify losslessness."""
     if not scans:
         raise ValueError("no scans to bench")
@@ -190,7 +189,7 @@ def run_bench(scans: list[Scan], reps: int = 3,
     proto = scans[0]
 
     # warm-up, also produces the verified reference encoding
-    encs = _encode_all(scans, mode_cfg, mask_codec)
+    encs = _encode_all(scans, mode_cfg)
     decoded = _decode_all(encs, proto)
     _verify_same(scans, decoded)
 
@@ -199,7 +198,7 @@ def run_bench(scans: list[Scan], reps: int = 3,
     for _ in range(reps):
         frame_enc = []
         t0 = time.perf_counter()
-        encs = _encode_all(scans, mode_cfg, mask_codec, frame_enc)
+        encs = _encode_all(scans, mode_cfg, frame_enc)
         enc_totals.append(time.perf_counter() - t0)
         frame_dec = []
         t0 = time.perf_counter()
@@ -233,8 +232,8 @@ def run_bench(scans: list[Scan], reps: int = 3,
         frames=stats)
 
 
-def run_ablation(scans: list[Scan], input_bytes_per_sample: int | None = None,
-                 mask_codec: int = bytecomp.DEFAULT_CODEC) -> list[dict]:
+def run_ablation(scans: list[Scan],
+                 input_bytes_per_sample: int | None = None) -> list[dict]:
     """Measure the pipeline ladder on one sequence.
 
     Each variant encodes the whole sequence, decodes it back and checks
@@ -249,9 +248,9 @@ def run_ablation(scans: list[Scan], input_bytes_per_sample: int | None = None,
     out = []
     for name, stages, policy in ABLATION_LADDER:
         if policy is None:
-            encs = _encode_unmasked(scans, stages, mask_codec)
+            encs = _encode_unmasked(scans, stages)
         else:
-            encs = _encode_all(scans, ModeConfig(policy=policy), mask_codec)
+            encs = _encode_all(scans, ModeConfig(policy=policy))
             _verify_same(scans, _decode_all(encs, proto))
         total_out = sum(e.total_bytes for e in encs)
         out.append({
@@ -265,9 +264,8 @@ def run_ablation(scans: list[Scan], input_bytes_per_sample: int | None = None,
 
 
 def run_sweep(frames: np.ndarray, precisions_um: list[int],
-              sample_width: int = 2, scan_type: ScanType = ScanType.RANGE,
-              mode_cfg: ModeConfig = ModeConfig(),
-              mask_codec: int = bytecomp.DEFAULT_CODEC) -> list[dict]:
+              sample_width: int = 2,
+              scan_type: ScanType = ScanType.RANGE) -> list[dict]:
     """Compress the same float sequence at several precisions.
 
     bits/sample counts every sample, masked or not: 8 * output_bytes /
@@ -282,7 +280,7 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)
         scans = as_scans(frames, spec, scan_type)
-        encs = _encode_all(scans, mode_cfg, mask_codec)
+        encs = _encode_all(scans, ModeConfig())
         decoded = _decode_all(encs, scans[0])
         _verify_same(scans, decoded)
         total_out = sum(e.total_bytes for e in encs)
@@ -295,8 +293,7 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     return rows
 
 
-def run_heuristic_eval(scans: list[Scan], test_lines: int = 4,
-                       mask_codec: int = bytecomp.DEFAULT_CODEC) -> dict:
+def run_heuristic_eval(scans: list[Scan], test_lines: int = 4) -> dict:
     """Compare the trial-compression choice against brute force.
 
     For every frame after the first, fully encode both ways and call the
@@ -308,12 +305,12 @@ def run_heuristic_eval(scans: list[Scan], test_lines: int = 4,
         raise ValueError("heuristic evaluation needs at least 2 scans")
     mode_cfg = ModeConfig(policy=Policy.AUTO, test_lines=test_lines)
     state = CodecState()
-    encode(scans[0], state, mode_cfg, mask_codec)     # frame 0 is always I
+    encode(scans[0], state, mode_cfg)     # frame 0 is always I
 
     evaluated = sub_i = sub_p = 0
     for scan in scans[1:]:
-        size_i = encode_i(scan, mask_codec).total_bytes
-        size_p = encode_p(scan, state, mask_codec).total_bytes
+        size_i = encode_i(scan).total_bytes
+        size_p = encode_p(scan, state).total_bytes
         choice = select_mode(scan, state, mode_cfg)
         if choice == Mode.I and size_p < size_i:
             sub_i += 1

@@ -25,13 +25,6 @@ ZSTD_RESERVED = 2
 
 DEFAULT_CODEC = DEFLATE
 
-_NAMES = {STORED: "stored", DEFLATE: "deflate", ZSTD_RESERVED: "zstd"}
-
-
-def codec_name(codec_id: int) -> str:
-    return _NAMES.get(codec_id, f"unknown({codec_id})")
-
-
 def compress_block(data: bytes, codec_id: int = DEFAULT_CODEC) -> bytes:
     """Wrap ``data`` in a mask block under the given codec."""
     head = encode_uvarint(len(data)) + bytes([codec_id])

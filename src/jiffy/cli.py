@@ -170,6 +170,14 @@ def _load_scans(args):
     return spec, qspec, scans
 
 
+def _decoded_scans(reader: StreamReader):
+    """Yield the scan of each record ``reader`` produces, in stream order."""
+    h = reader.header
+    state = CodecState()
+    for enc in reader:
+        yield decode(enc, state, h.scan_type, h.sample_width, h.rows, h.cols)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -223,11 +231,8 @@ def cmd_decompress(args) -> int:
             raise ValueError(f"--etype {args.etype} narrower than the "
                              f"stream's {h.sample_width}-byte samples")
         qspec = QuantizationSpec(h.precision_um, h.sample_width)
-        state = CodecState()
         n = 0
-        for enc in reader:
-            scan = decode(enc, state, h.scan_type, h.sample_width,
-                          h.rows, h.cols)
+        for scan in _decoded_scans(reader):
             if dtype.kind == "f":
                 out = dequantize(scan, qspec)
                 out = np.nan_to_num(out, nan=0.0)   # raw dumps mark invalid as 0
@@ -249,22 +254,18 @@ def cmd_verify(args) -> int:
                   f"raw input declared {args.shape[0]}x{args.shape[1]}")
             return EXIT_CORRUPT
         qspec = QuantizationSpec(h.precision_um, h.sample_width)
-        state = CodecState()
         n = 0
         raw_iter = rawio.read_frames(spec)
-        for i, enc in enumerate(reader):
-            try:
-                frame = next(raw_iter)
-            except StopIteration:
+        for scan in _decoded_scans(reader):
+            frame = next(raw_iter, None)
+            if frame is None:
                 print(f"verify FAILED: container has more frames than "
-                      f"raw input ({i} raw frames)")
+                      f"raw input ({n} raw frames)")
                 return EXIT_CORRUPT
-            scan = decode(enc, state, h.scan_type, h.sample_width,
-                          h.rows, h.cols)
             expect = _scan_from_raw(frame, qspec, h.scan_type)
             if not np.array_equal(scan.samples, expect.samples):
                 bad = int(np.argwhere(scan.samples != expect.samples)[0][0])
-                print(f"verify FAILED: frame {i} differs (first bad row {bad})")
+                print(f"verify FAILED: frame {n} differs (first bad row {bad})")
                 return EXIT_CORRUPT
             n += 1
         if next(raw_iter, None) is not None:

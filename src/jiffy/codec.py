@@ -142,35 +142,32 @@ def _forward(values: np.ndarray) -> np.ndarray:
 
 def encode_i(scan: Scan,
              mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    return _encode_i(scan, extract_mask(scan.samples), mask_codec)
+    return _encode(scan, None, extract_mask(scan.samples), mask_codec)
 
 
 def encode_p(scan: Scan, state: CodecState,
              mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    return _encode_p(scan, state, extract_mask(scan.samples), mask_codec)
+    return _encode(scan, state, extract_mask(scan.samples), mask_codec)
 
 
-def _encode_i(scan: Scan, mask: np.ndarray, mask_codec: int) -> EncodedScan:
+def _encode(scan: Scan, ref: CodecState | None, mask: np.ndarray,
+            mask_codec: int) -> EncodedScan:
+    """An I-scan when ``ref`` is None, else a P-scan against ``ref``; the
+    mirror of :func:`decode`. ``mask`` is the scan's own zero mask."""
+    mask_bits = mask
+    if ref is not None:
+        if ref.samples is None:
+            raise JiffyError("P-scan requested with no previous scan")
+        if ref.samples.shape != scan.samples.shape:
+            raise ValueError("scan shape differs from reference")
+        mask_bits = xor_mask(mask, ref.mask)
+    mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
     values = compact(scan.samples, mask)
-    mask_block = bytecomp.compress_block(pack_mask(mask), mask_codec)
-    value_block = pfor_encode(_forward(values))
-    return EncodedScan(Mode.I, values.size, mask_block, value_block)
-
-
-def _encode_p(scan: Scan, state: CodecState, cur_mask: np.ndarray,
-              mask_codec: int) -> EncodedScan:
-    if state.samples is None:
-        raise JiffyError("P-scan requested with no previous scan")
-    if state.samples.shape != scan.samples.shape:
-        raise ValueError("scan shape differs from reference")
-    mask_bytes = pack_mask(xor_mask(cur_mask, state.mask))
-    cur = compact(scan.samples, cur_mask)
-    prev = compact(state.samples, cur_mask)     # previous scan, current mask
-    residuals = cur - prev                      # uint32, wraps
-    value_block = pfor_encode(_forward(residuals))
-    return EncodedScan(Mode.P, cur.size,
-                       bytecomp.compress_block(mask_bytes, mask_codec),
-                       value_block)
+    if ref is not None:
+        # previous scan under the current mask; uint32 residuals wrap
+        values = values - compact(ref.samples, mask)
+    return EncodedScan(Mode.I if ref is None else Mode.P, values.size,
+                       mask_block, pfor_encode(_forward(values)))
 
 
 def select_mode(scan: Scan, state: CodecState, mode_cfg: ModeConfig) -> Mode:
@@ -206,10 +203,8 @@ def encode(scan: Scan, state: CodecState,
            mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
     """Encode one scan, updating ``state`` with it for the next P decision."""
     mask = extract_mask(scan.samples)
-    if select_mode(scan, state, mode_cfg) == Mode.P:
-        enc = _encode_p(scan, state, mask, mask_codec)
-    else:
-        enc = _encode_i(scan, mask, mask_codec)
+    ref = state if select_mode(scan, state, mode_cfg) == Mode.P else None
+    enc = _encode(scan, ref, mask, mask_codec)
     state.update(scan.samples, mask)
     return enc
 

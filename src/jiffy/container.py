@@ -31,6 +31,7 @@ STREAMING = 0xFFFFFFFF
 _HEAD = struct.Struct("<4sBBHHBIBI")
 HEADER_SIZE = _HEAD.size + 4
 _FRAME = struct.Struct("<II")
+_READ_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,18 @@ class StreamReader:
         self._index = 0
 
     def _read_exact(self, n: int, frame: int | None, what: str) -> bytes:
-        data = self._source.read(n)
-        if len(data) != n:
-            raise TruncatedStreamError(f"truncated {what}", frame_index=frame)
-        return data
+        # A buffered read(n) allocates n bytes up front, so a forged length
+        # is read in bounded chunks and fails at the first short one.
+        chunks = []
+        while n:
+            want = min(n, _READ_CHUNK)
+            chunk = self._source.read(want)
+            if len(chunk) != want:
+                raise TruncatedStreamError(f"truncated {what}",
+                                           frame_index=frame)
+            chunks.append(chunk)
+            n -= want
+        return b"".join(chunks)
 
     def __iter__(self):
         return self

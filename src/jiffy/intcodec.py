@@ -43,14 +43,6 @@ exceptions). Everything else is whole-array numpy work over the stream:
   ``i*w >> 3``, shifted right by ``i*w & 7`` and masked to w bits;
 * exceptions are patched in with one fancy-index add that rejects any value
   overflowing uint32.
-
-Two delta/ZigZag variants live here. ``delta_encode``/``zigzag_encode`` are
-the exact integer operations: deltas are true differences (33-bit signed),
-ZigZag(x) = 2|x| + [x < 0] with |x| < 2^31. The ``*_wrap`` array variants
-evaluate the same formulas in uint32 modular arithmetic, which makes the
-composed map a total bijection on uint32 streams; the wrapped delta -2^31
-lands on code 1, the one code the exact encoder never produces. The scan
-codec uses the wrapped variants so arbitrary 32-bit samples roundtrip.
 """
 
 import functools
@@ -79,32 +71,6 @@ _REM_BYTES_F = _REM_BYTES.astype(np.float64)
 
 # ---------------------------------------------------------------------------
 # delta
-
-
-def delta_encode(values) -> np.ndarray:
-    """Difference each value from its predecessor; the first value is kept
-    as a delta from an implicit 0. Output is int64 (true 33-bit differences).
-    """
-    v = _as_u32(values)
-    out = np.empty(v.size, dtype=np.int64)
-    if v.size:
-        s = v.astype(np.int64)
-        out[0] = s[0]
-        np.subtract(s[1:], s[:-1], out=out[1:])
-    return out
-
-
-def delta_decode(deltas) -> np.ndarray:
-    """Exact inverse of :func:`delta_encode`.
-
-    Raises CorruptStreamError when any prefix sum leaves [0, 2^32), which can
-    only happen for delta vectors that no uint32 input produces.
-    """
-    d = np.asarray(deltas, dtype=np.int64)
-    acc = np.cumsum(d)
-    if d.size and (acc.min() < 0 or acc.max() > _U32_MAX):
-        raise CorruptStreamError("delta prefix sum outside uint32 range")
-    return acc.astype(np.uint32)
 
 
 def delta_wrap(values: np.ndarray) -> np.ndarray:
@@ -267,6 +233,11 @@ def pfor_decode(data) -> np.ndarray:
         raise CorruptStreamError("trailing bytes after final block")
     if n == 0:
         return np.empty(0, dtype=np.uint32)
+    # Only the final block (the loop's last blen, width) can end mid-byte:
+    # 128 * width bits is always whole bytes.
+    bits = blen * width
+    if bits & 7 and buf[offs[-1] + (bits >> 3)] >> (bits & 7):
+        raise CorruptStreamError("nonzero padding bits in packed area")
 
     # Seven zero bytes of padding let every packed offset be read as one
     # little-endian 8-byte word.
@@ -282,8 +253,13 @@ def pfor_decode(data) -> np.ndarray:
 
 
 def iter_blocks(data):
-    """Yield a :class:`PackedBlock` per block. Assumes a well-formed stream."""
+    """Yield a :class:`PackedBlock` per block.
+
+    The stream is checked with :func:`pfor_decode` first, so malformed
+    input raises its JiffyError before anything is yielded.
+    """
     buf = bytes(data)
+    pfor_decode(buf)
     n, pos = decode_uvarint(buf, 0)
     produced = 0
     while produced < n:

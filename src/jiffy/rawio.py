@@ -28,7 +28,6 @@ class RawSequenceSpec:
     rows: int
     cols: int
     scan_type: ScanType = ScanType.RANGE
-    frame_stride: int | None = None     # bytes between frame starts
 
     def __post_init__(self):
         if self.element_type not in ELEMENT_TYPES:
@@ -36,8 +35,6 @@ class RawSequenceSpec:
                              f"{sorted(ELEMENT_TYPES)}, got {self.element_type!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
-        if self.frame_stride is not None and self.frame_stride < self.frame_bytes:
-            raise ValueError("frame_stride smaller than one frame")
         object.__setattr__(self, "scan_type", ScanType(self.scan_type))
 
     @property
@@ -48,30 +45,23 @@ class RawSequenceSpec:
     def frame_bytes(self) -> int:
         return self.rows * self.cols * self.dtype.itemsize
 
-    @property
-    def stride(self) -> int:
-        return self.frame_stride or self.frame_bytes
-
     def count_frames(self) -> int:
         size = os.path.getsize(self.path)
-        if size % self.stride:
+        if size % self.frame_bytes:
             raise ValueError(
                 f"{self.path}: size {size} is not a whole number of "
-                f"{self.stride}-byte frames")
-        return size // self.stride
+                f"{self.frame_bytes}-byte frames")
+        return size // self.frame_bytes
 
 
 def read_frames(spec: RawSequenceSpec):
     """Yield one (rows, cols) array per frame, in file order."""
     n = spec.count_frames()
-    skip = spec.stride - spec.frame_bytes
     with open(spec.path, "rb") as f:
         for _ in range(n):
             buf = f.read(spec.frame_bytes)
             if len(buf) != spec.frame_bytes:
                 raise ValueError(f"{spec.path}: short read")
-            if skip:
-                f.seek(skip, os.SEEK_CUR)
             yield np.frombuffer(buf, dtype=spec.dtype).reshape(
                 spec.rows, spec.cols)
 

@@ -83,11 +83,6 @@ def decode_uvarints(data: np.ndarray, max_len: int) -> np.ndarray:
     return values
 
 
-def uvarint_len(value: int) -> int:
-    """Encoded length in bytes of one value."""
-    return max(1, (value.bit_length() + 6) // 7)
-
-
 def uvarint_len_array(values: np.ndarray) -> np.ndarray:
     """Encoded lengths for an array of nonnegative integers (any uint dtype)."""
     v = np.asarray(values, dtype=np.uint64)

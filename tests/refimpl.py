@@ -133,10 +133,10 @@ def ref_read_varint_strict(buf: bytes, pos: int):
 def ref_pfor_decode_strict(buf: bytes):
     """PFOR decoder that checks every decoder rule FORMAT.md states.
 
-    Returns the values, or raises RefReject at the first rule broken. The
-    canonical-layout properties (reference is the block minimum, the width is
-    the optimum, unused packed bits are zero) are encoder duties, not
-    decoder checks, so they are not tested here.
+    Returns the values, or raises RefReject at the first rule broken. Two
+    canonical-layout properties (reference is the block minimum, the width
+    is the optimum) are encoder duties, not decoder checks, so they are not
+    tested here; unused packed bits must be zero.
     """
     n, pos = ref_read_varint_strict(buf, 0)
     values = []
@@ -157,6 +157,8 @@ def ref_pfor_decode_strict(buf: bytes):
             raise RefReject("truncated packed area")
         acc = int.from_bytes(buf[pos:pos + nbytes], "little")
         pos += nbytes
+        if acc >> (blen * w):
+            raise RefReject("nonzero padding bits")
         block = [ref + ((acc >> (i * w)) & ((1 << w) - 1)) for i in range(blen)]
         if pos + nexc > len(buf):
             raise RefReject("truncated exception positions")

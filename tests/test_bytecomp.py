@@ -102,8 +102,3 @@ def test_deflate_garbage_body():
     with pytest.raises(CorruptStreamError):
         bytecomp.decompress_block(b"\x08\x01\xff\xff\xff\xff\xff\xff")
 
-
-def test_codec_name():
-    assert bytecomp.codec_name(0) == "stored"
-    assert bytecomp.codec_name(1) == "deflate"
-    assert "unknown" in bytecomp.codec_name(77)

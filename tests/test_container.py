@@ -204,6 +204,25 @@ def test_oversized_mask_rejected_before_inflating():
     assert peak < 4 * len(raw)
 
 
+def test_forged_frame_length_read_in_bounded_chunks(tmp_path):
+    # A real (buffered) file whose only frame declares 1 GiB but holds 26
+    # bytes: the short read must end it, not a 1 GiB allocation.
+    path = tmp_path / "forged.jfy"
+    path.write_bytes(StreamHeader(ScanType.RANGE, 8, 16).to_bytes()
+                     + struct.pack("<II", 1 << 30, 0) + bytes(26))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as f:
+            _, reader = read_stream(f)
+            with pytest.raises(TruncatedStreamError) as ei:
+                next(reader)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.frame_index == 0
+    assert peak < 4 << 20
+
+
 def test_sampled_byte_flips_always_detected():
     scans = small_scans(3)
     good = build_stream(scans, frame_count=3)

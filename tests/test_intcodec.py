@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
-from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_decode,
-                            delta_encode, delta_unwrap, delta_wrap,
+from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
                             iter_blocks, pfor_decode, pfor_encode,
                             zigzag_decode, zigzag_encode, zigzag_unwrap,
                             zigzag_wrap)
@@ -30,29 +29,6 @@ spiky_arrays = st.lists(
 # delta
 
 
-def test_delta_known():
-    d = delta_encode(np.array([5, 7, 6], dtype=np.uint32))
-    assert d.tolist() == [5, 2, -1]
-    assert delta_decode(d).tolist() == [5, 7, 6]
-
-
-def test_delta_empty():
-    assert delta_encode(np.array([], dtype=np.uint32)).size == 0
-    assert delta_decode(np.array([], dtype=np.int64)).size == 0
-
-
-def test_delta_decode_rejects_out_of_range():
-    with pytest.raises(CorruptStreamError):
-        delta_decode(np.array([5, -6], dtype=np.int64))
-    with pytest.raises(CorruptStreamError):
-        delta_decode(np.array([0xFFFFFFFF, 1], dtype=np.int64))
-
-
-@given(u32_arrays)
-def test_delta_roundtrip(v):
-    assert np.array_equal(delta_decode(delta_encode(v)), v)
-
-
 @given(u32_arrays)
 def test_delta_wrap_roundtrip(v):
     assert np.array_equal(delta_unwrap(delta_wrap(v)), v)
@@ -62,7 +38,7 @@ def test_delta_wrap_roundtrip(v):
                 min_size=1, max_size=100))
 def test_wrap_agrees_with_exact_when_in_range(values):
     v = np.array(values, dtype=np.uint32)
-    exact = delta_encode(v)
+    exact = np.diff(v.astype(np.int64), prepend=0)
     wrapped = delta_wrap(v).astype(np.int64)
     wrapped[wrapped >= 1 << 31] -= 1 << 32
     assert np.array_equal(exact, wrapped)
@@ -408,6 +384,40 @@ def test_pfor_positions_checked():
     for positions in ([2, 0], [1, 1], [0, 3]):
         with pytest.raises(CorruptStreamError):
             pfor_decode(bytes([3, 0, 0, 2, *positions, 5, 6]))
+
+
+def test_pfor_nonzero_padding_rejected():
+    # [1, 2, 3] at width 2 fills 6 bits of its one packed byte (0x24)
+    assert pfor_decode(bytes.fromhex("0301020024")).tolist() == [1, 2, 3]
+    for bad in ("03010200a4", "0301020064", "03010200e4"):
+        with pytest.raises(CorruptStreamError):
+            pfor_decode(bytes.fromhex(bad))
+        with pytest.raises(RefReject):
+            ref_pfor_decode_strict(bytes.fromhex(bad))
+    # two full width-3 blocks have no padding; the [0, 1] tail at width 1
+    # leaves 6 bits of its one packed byte unused
+    v = np.arange(258, dtype=np.uint32) % 8
+    enc = pfor_encode(v)
+    assert [b.bit_width for b in iter_blocks(enc)] == [3, 3, 1]
+    assert enc[-1] == 0b10
+    with pytest.raises(CorruptStreamError):
+        pfor_decode(enc[:-1] + bytes([0b110]))
+
+
+def test_iter_blocks_raises_only_jiffy_error():
+    enc, v = _valid_stream()
+    assert sum(b.length for b in iter_blocks(enc)) == v.size
+    with pytest.raises(TruncatedStreamError):
+        list(iter_blocks(b"\x05\x00"))
+    rng = np.random.default_rng(5)
+    cases = [enc[:cut] for cut in range(len(enc))]
+    cases += [_mutate(enc, rng) for _ in range(300)]
+    for bad in cases:
+        try:
+            blocks = list(iter_blocks(bad))
+        except JiffyError:
+            continue
+        assert sum(b.length for b in blocks) == pfor_decode(bad).size
 
 
 def _strict_or_none(buf):

@@ -37,20 +37,6 @@ def test_read_frames_is_lazy_and_ordered(tmp_path):
     assert i == 4
 
 
-def test_frame_stride_skips_padding(tmp_path):
-    spec = spec_for(tmp_path, "padded.bin", "uint16")
-    pad = b"\xee" * 16
-    frames = np.arange(2 * 4 * 8, dtype=np.uint16).reshape(2, 4, 8)
-    with open(spec.path, "wb") as f:
-        for frame in frames:
-            f.write(frame.astype("<u2").tobytes())
-            f.write(pad)
-    padded = spec_for(tmp_path, "padded.bin", "uint16",
-                      frame_stride=spec.frame_bytes + 16)
-    assert padded.count_frames() == 2
-    assert np.array_equal(read_all(padded), frames)
-
-
 def test_size_not_divisible_rejected(tmp_path):
     spec = spec_for(tmp_path, "ragged.bin", "uint16")
     (tmp_path / "ragged.bin").write_bytes(b"\x00" * (spec.frame_bytes + 3))
