@@ -10,7 +10,7 @@ import numpy as np
 
 from jiffy import (QuantizationSpec, ScanType, bitmask, bytecomp,
                    dequantize, intcodec, quantize)
-from jiffy.codec import CodecState, decode, encode_i
+from jiffy.codec import CodecState, Mode, decode, encode
 from jiffy.synthetic import generate
 
 rows, cols = 32, 128
@@ -46,8 +46,9 @@ widths = [b.bit_width for b in intcodec.iter_blocks(block)]
 print(f"      block bit widths: min {min(widths)}, max {max(widths)}, "
       f"mean {sum(widths) / len(widths):.1f}")
 
-# 5. the codec does all of the above in one call
-enc = encode_i(scan)
+# 5. the codec does all of the above in one call (forced I: a lone scan
+#    has no previous scan to predict from anyway)
+enc = encode(scan, CodecState(), Mode.I)
 total_raw = scan.samples.nbytes
 print(f"encoded scan: {total_raw} -> {enc.total_bytes} bytes "
       f"(ratio {total_raw / enc.total_bytes:.2f})")

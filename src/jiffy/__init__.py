@@ -16,13 +16,13 @@ Quick use::
     ...
 
 Streams on disk go through StreamWriter / StreamReader; the `jiffy`
-console script wraps the whole thing. The single stages (jiffy.bitmask,
-jiffy.intcodec, jiffy.bytecomp), jiffy.codec's encode_i / encode_p /
+console script wraps the whole thing. ``encode(scan, state, Mode.I)`` or
+``Mode.P`` forces the scan mode instead of trial-compressing. The single
+stages (jiffy.bitmask, jiffy.intcodec, jiffy.bytecomp), jiffy.codec's
 select_mode and the jiffy.bench harness are imported from their modules.
 """
 
-from .codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy, decode,
-                    encode)
+from .codec import CodecState, EncodedScan, Mode, decode, encode
 from .container import (StreamHeader, StreamReader, StreamWriter, read_stream,
                         write_stream)
 from .errors import (BadMagicError, ChecksumMismatchError, CorruptStreamError,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Scan", "ScanType", "QuantizationSpec", "BeamLayout",
     "quantize", "dequantize", "canonicalize",
-    "Mode", "Policy", "ModeConfig", "CodecState", "EncodedScan",
+    "Mode", "CodecState", "EncodedScan",
     "encode", "decode",
     "StreamHeader", "StreamWriter", "StreamReader", "read_stream",
     "write_stream", "RawSequenceSpec", "generate",

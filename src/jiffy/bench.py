@@ -8,7 +8,8 @@ is impossible.
 
 The ablation's partial pipelines live here, not in the codec: the unmasked
 rungs run their value stages straight into PFOR and check their own round
-trip, while the masked rungs are the shipping codec under a mode policy.
+trip, while the masked rungs are the shipping codec with its mode forced
+or selected.
 """
 
 import csv
@@ -19,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bytecomp
-from .codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy, decode,
-                    encode, encode_i, encode_p, select_mode)
+from .codec import (TEST_LINES, CodecState, EncodedScan, Mode, decode, encode,
+                    select_mode)
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        zigzag_unwrap, zigzag_wrap)
 from .scan import QuantizationSpec, Scan, ScanType, quantize
@@ -28,15 +29,15 @@ from .scan import QuantizationSpec, Scan, ScanType, quantize
 _DELTA = (delta_wrap, delta_unwrap)
 _ZIGZAG = (zigzag_wrap, zigzag_unwrap)
 
-# (variant, value stages as (forward, inverse) pairs, mode policy). A rung
+# (variant, value stages as (forward, inverse) pairs, forced mode). A rung
 # with stages keeps every sample (no zero mask) and codes I-scans only; a
-# rung with a policy is the shipping codec.
+# rung without is the shipping codec, its mode forced or (None) automatic.
 ABLATION_LADDER = (
     ("pfor", (), None),
     ("delta+pfor", (_DELTA,), None),
     ("delta+zigzag+pfor", (_DELTA, _ZIGZAG), None),
-    ("mask+delta+zigzag+pfor", None, Policy.FORCE_I),
-    ("full", None, Policy.AUTO),
+    ("mask+delta+zigzag+pfor", None, Mode.I),
+    ("full", None, None),
 )
 
 
@@ -121,12 +122,12 @@ def write_csv(path: str, rows: list[dict]):
         w.writerows(rows)
 
 
-def _encode_all(scans, mode_cfg, times=None):
+def _encode_all(scans, mode=None, times=None):
     state = CodecState()
     out = []
     for scan in scans:
         t0 = time.perf_counter()
-        enc = encode(scan, state, mode_cfg)
+        enc = encode(scan, state, mode)
         t1 = time.perf_counter()
         out.append(enc)
         if times is not None:
@@ -180,8 +181,11 @@ def _encode_unmasked(scans, stages):
 
 
 def run_bench(scans: list[Scan], reps: int = 3,
-              mode_cfg: ModeConfig = ModeConfig()) -> BenchReport:
-    """Time encode and decode over ``reps`` passes and verify losslessness."""
+              mode: Mode | None = None) -> BenchReport:
+    """Time encode and decode over ``reps`` passes and verify losslessness.
+
+    ``mode`` forces every scan after the first to I or P; None selects it.
+    """
     if not scans:
         raise ValueError("no scans to bench")
     if reps < 1:
@@ -189,7 +193,7 @@ def run_bench(scans: list[Scan], reps: int = 3,
     proto = scans[0]
 
     # warm-up, also produces the verified reference encoding
-    encs = _encode_all(scans, mode_cfg)
+    encs = _encode_all(scans, mode)
     decoded = _decode_all(encs, proto)
     _verify_same(scans, decoded)
 
@@ -198,7 +202,7 @@ def run_bench(scans: list[Scan], reps: int = 3,
     for _ in range(reps):
         frame_enc = []
         t0 = time.perf_counter()
-        encs = _encode_all(scans, mode_cfg, frame_enc)
+        encs = _encode_all(scans, mode, frame_enc)
         enc_totals.append(time.perf_counter() - t0)
         frame_dec = []
         t0 = time.perf_counter()
@@ -207,11 +211,12 @@ def run_bench(scans: list[Scan], reps: int = 3,
 
     points = proto.rows * proto.cols
     in_bytes = points * proto.sample_width
-    stats = [FrameStat(i, enc.mode.name, in_bytes, enc.total_bytes,
-                       in_bytes / enc.total_bytes, frame_enc[i], frame_dec[i])
-             for i, enc in enumerate(encs)]
+    sizes = [enc.total_bytes for enc in encs]
+    stats = [FrameStat(i, enc.mode.name, in_bytes, size, in_bytes / size,
+                       frame_enc[i], frame_dec[i])
+             for i, (enc, size) in enumerate(zip(encs, sizes))]
     total_in = in_bytes * len(scans)
-    total_out = sum(e.total_bytes for e in encs)
+    total_out = sum(sizes)
     enc_mean = float(np.mean(enc_totals))
     dec_mean = float(np.mean(dec_totals))
     n = len(scans)
@@ -246,11 +251,11 @@ def run_ablation(scans: list[Scan],
     bps = input_bytes_per_sample or proto.sample_width
     total_in = len(scans) * proto.rows * proto.cols * bps
     out = []
-    for name, stages, policy in ABLATION_LADDER:
-        if policy is None:
+    for name, stages, mode in ABLATION_LADDER:
+        if stages is not None:
             encs = _encode_unmasked(scans, stages)
         else:
-            encs = _encode_all(scans, ModeConfig(policy=policy))
+            encs = _encode_all(scans, mode)
             _verify_same(scans, _decode_all(encs, proto))
         total_out = sum(e.total_bytes for e in encs)
         out.append({
@@ -280,7 +285,7 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)
         scans = as_scans(frames, spec, scan_type)
-        encs = _encode_all(scans, ModeConfig())
+        encs = _encode_all(scans)
         decoded = _decode_all(encs, scans[0])
         _verify_same(scans, decoded)
         total_out = sum(e.total_bytes for e in encs)
@@ -293,7 +298,8 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     return rows
 
 
-def run_heuristic_eval(scans: list[Scan], test_lines: int = 4) -> dict:
+def run_heuristic_eval(scans: list[Scan],
+                       test_lines: int = TEST_LINES) -> dict:
     """Compare the trial-compression choice against brute force.
 
     For every frame after the first, fully encode both ways and call the
@@ -303,21 +309,19 @@ def run_heuristic_eval(scans: list[Scan], test_lines: int = 4) -> dict:
     """
     if len(scans) < 2:
         raise ValueError("heuristic evaluation needs at least 2 scans")
-    mode_cfg = ModeConfig(policy=Policy.AUTO, test_lines=test_lines)
     state = CodecState()
-    encode(scans[0], state, mode_cfg)     # frame 0 is always I
+    encode(scans[0], state)       # frame 0 has no reference: not evaluated
 
     evaluated = sub_i = sub_p = 0
     for scan in scans[1:]:
-        size_i = encode_i(scan).total_bytes
-        size_p = encode_p(scan, state).total_bytes
-        choice = select_mode(scan, state, mode_cfg)
+        choice = select_mode(scan, state, test_lines)
+        size_i = encode(scan, CodecState(), Mode.I).total_bytes
+        size_p = encode(scan, state, Mode.P).total_bytes    # moves state on
         if choice == Mode.I and size_p < size_i:
             sub_i += 1
         elif choice == Mode.P and size_i < size_p:
             sub_p += 1
         evaluated += 1
-        state.update(scan.samples, scan.samples == 0)
     return {
         "frames_evaluated": evaluated,
         "accuracy": 1.0 - (sub_i + sub_p) / evaluated,

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import bench as benchmod
 from . import bytecomp, rawio, synthetic
-from .codec import CodecState, Mode, ModeConfig, Policy, decode, encode
-from .container import HEADER_SIZE, StreamHeader, StreamReader, StreamWriter
-from .errors import JiffyError
+from .codec import TEST_LINES, CodecState, Mode, decode, encode
+from .container import StreamHeader, StreamReader, StreamWriter
+from .errors import CorruptStreamError, JiffyError
 from .rawio import ELEMENT_TYPES, RawSequenceSpec
 from .scan import QuantizationSpec, Scan, ScanType, dequantize, quantize
 
@@ -23,7 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CORRUPT = 2
 
-_POLICIES = {"auto": Policy.AUTO, "i": Policy.FORCE_I, "p": Policy.FORCE_P}
+_MODES = {"auto": None, "i": Mode.I, "p": Mode.P}
 _MASK_CODECS = {"stored": bytecomp.STORED, "deflate": bytecomp.DEFLATE}
 _SCAN_TYPES = {t.name.lower(): t for t in ScanType}
 
@@ -83,8 +83,9 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("compress", help="raw frames -> container")
     _add_raw_input(c)
-    c.add_argument("--mode", default="auto", choices=sorted(_POLICIES),
-                   help="scan mode policy (default auto)")
+    c.add_argument("--mode", default="auto", choices=sorted(_MODES),
+                   help="scan mode: auto selects per scan, i or p forces it "
+                        "(default auto)")
     c.add_argument("--mask-codec", default="deflate",
                    choices=sorted(_MASK_CODECS))
     c.add_argument("--output", required=True)
@@ -105,7 +106,7 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("bench", help="codec throughput and ratio")
     _add_raw_input(b)
-    b.add_argument("--mode", default="auto", choices=sorted(_POLICIES))
+    b.add_argument("--mode", default="auto", choices=sorted(_MODES))
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--csv", help="write per-frame stats to this CSV file")
     b.add_argument("--json", dest="json_path", help="write the report as JSON")
@@ -126,7 +127,7 @@ def build_parser() -> _Parser:
     h = sub.add_parser("heuristic-eval",
                        help="mode heuristic vs brute-force optimum")
     _add_raw_input(h)
-    h.add_argument("--test-lines", type=int, default=4)
+    h.add_argument("--test-lines", type=int, default=TEST_LINES)
     h.set_defaults(func=cmd_heuristic_eval)
 
     g = sub.add_parser("gen", help="write a synthetic raw sequence")
@@ -171,11 +172,19 @@ def _load_scans(args):
 
 
 def _decoded_scans(reader: StreamReader):
-    """Yield the scan of each record ``reader`` produces, in stream order."""
+    """Yield the scan of each record ``reader`` produces, in stream order.
+
+    A record the codec rejects raises its error naming the frame.
+    """
     h = reader.header
     state = CodecState()
-    for enc in reader:
-        yield decode(enc, state, h.scan_type, h.sample_width, h.rows, h.cols)
+    for i, enc in enumerate(reader):
+        try:
+            scan = decode(enc, state, h.scan_type, h.sample_width, h.rows,
+                          h.cols)
+        except CorruptStreamError as e:
+            raise type(e)(str(e), frame_index=i) from None
+        yield scan
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +194,7 @@ def _decoded_scans(reader: StreamReader):
 def cmd_compress(args) -> int:
     spec = _spec_from_args(args)
     qspec = _qspec_from_args(args, spec)
-    mode_cfg = ModeConfig(policy=_POLICIES[args.mode])
+    mode = _MODES[args.mode]
     mask_codec = _MASK_CODECS[args.mask_codec]
     n = spec.count_frames()
     rows, cols = args.shape
@@ -193,7 +202,6 @@ def cmd_compress(args) -> int:
                           qspec.precision_um, mask_codec, frame_count=n)
 
     state = CodecState()
-    out_bytes = 0
     p_scans = 0
     t_encode = 0.0
     with open(args.output, "wb") as sink:
@@ -201,19 +209,18 @@ def cmd_compress(args) -> int:
         for frame in rawio.read_frames(spec):
             t0 = time.perf_counter()
             scan = _scan_from_raw(frame, qspec, spec.scan_type)
-            enc = encode(scan, state, mode_cfg, mask_codec=mask_codec)
+            enc = encode(scan, state, mode, mask_codec=mask_codec)
             t_encode += time.perf_counter() - t0
             writer.write_frame(enc)
-            out_bytes += enc.total_bytes
             p_scans += enc.mode == Mode.P
         writer.close()
+        total_out = sink.tell()
 
     if n == 0:
         print(f"wrote {args.output}: 0 frames, ratio n/a")
         return EXIT_OK
     in_bytes = n * spec.frame_bytes
     pts = n * rows * cols
-    total_out = out_bytes + HEADER_SIZE + 8 * n     # frame headers included
     print(f"wrote {args.output}: {n} frames {rows}x{cols} "
           f"{spec.element_type}, {in_bytes} -> {total_out} bytes "
           f"(ratio {in_bytes / total_out:.2f}), "
@@ -278,8 +285,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     _, _, scans = _load_scans(args)
-    report = benchmod.run_bench(scans, reps=args.reps,
-                                mode_cfg=ModeConfig(policy=_POLICIES[args.mode]))
+    report = benchmod.run_bench(scans, reps=args.reps, mode=_MODES[args.mode])
     hdr = (f"{'type':14s} {'shape':>10s} {'frames':>6s} {'ratio':>6s} "
            f"{'enc scans/s':>11s} {'enc Mpts/s':>10s} "
            f"{'dec scans/s':>11s} {'dec Mpts/s':>10s}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import bytecomp
 from .bitmask import (compact, expand, extract_mask, pack_mask, unpack_mask,
                       xor_mask)
-from .errors import CorruptStreamError, JiffyError
+from .errors import CorruptStreamError
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        zigzag_unwrap, zigzag_wrap)
 from .scan import Scan, ScanType, sample_dtype
@@ -36,20 +36,7 @@ class Mode(IntEnum):
     P = 1
 
 
-class Policy(IntEnum):
-    AUTO = 0
-    FORCE_I = 1
-    FORCE_P = 2
-
-
-@dataclass(frozen=True)
-class ModeConfig:
-    policy: Policy = Policy.AUTO
-    test_lines: int = 4         # trial scanlines for auto selection
-
-    def __post_init__(self):
-        if self.test_lines < 1:
-            raise ValueError("test_lines must be positive")
+TEST_LINES = 4      # trial scanlines for automatic mode selection
 
 
 @dataclass
@@ -100,9 +87,7 @@ class EncodedScan:
 
     @property
     def total_bytes(self) -> int:
-        return (1 + len(encode_uvarint(self.value_count)) + len(self.mask_block)
-                + len(encode_uvarint(len(self.value_block)))
-                + len(self.value_block))
+        return len(self.to_bytes())
 
     @classmethod
     def from_bytes(cls, buf: bytes, *,
@@ -140,52 +125,21 @@ def _forward(values: np.ndarray) -> np.ndarray:
 # encode
 
 
-def encode_i(scan: Scan,
-             mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    return _encode(scan, None, extract_mask(scan.samples), mask_codec)
-
-
-def encode_p(scan: Scan, state: CodecState,
-             mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    return _encode(scan, state, extract_mask(scan.samples), mask_codec)
-
-
-def _encode(scan: Scan, ref: CodecState | None, mask: np.ndarray,
-            mask_codec: int) -> EncodedScan:
-    """An I-scan when ``ref`` is None, else a P-scan against ``ref``; the
-    mirror of :func:`decode`. ``mask`` is the scan's own zero mask."""
-    mask_bits = mask
-    if ref is not None:
-        if ref.samples is None:
-            raise JiffyError("P-scan requested with no previous scan")
-        if ref.samples.shape != scan.samples.shape:
-            raise ValueError("scan shape differs from reference")
-        mask_bits = xor_mask(mask, ref.mask)
-    mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
-    values = compact(scan.samples, mask)
-    if ref is not None:
-        # previous scan under the current mask; uint32 residuals wrap
-        values = values - compact(ref.samples, mask)
-    return EncodedScan(Mode.I if ref is None else Mode.P, values.size,
-                       mask_block, pfor_encode(_forward(values)))
-
-
-def select_mode(scan: Scan, state: CodecState, mode_cfg: ModeConfig) -> Mode:
+def select_mode(scan: Scan, state: CodecState,
+                test_lines: int = TEST_LINES) -> Mode:
     """Pick I or P by trial-compressing a few scanlines.
 
     Runs only the value pipeline (mask compression excluded) over
     ``test_lines`` evenly spaced rows and keeps the cheaper mode, preferring
     I on a tie. The first scan of a stream is always I.
     """
+    if test_lines < 1:
+        raise ValueError("test_lines must be positive")
     if state.samples is None:
         return Mode.I
-    if mode_cfg.policy == Policy.FORCE_I:
-        return Mode.I
-    if mode_cfg.policy == Policy.FORCE_P:
-        return Mode.P
 
     rows = scan.rows
-    nlines = min(mode_cfg.test_lines, rows)
+    nlines = min(test_lines, rows)
     idx = (np.arange(nlines, dtype=np.int64) * rows) // nlines
     cur_rows = scan.samples[idx]
     prev_rows = state.samples[idx]
@@ -198,13 +152,30 @@ def select_mode(scan: Scan, state: CodecState, mode_cfg: ModeConfig) -> Mode:
     return Mode.P if p_bytes < i_bytes else Mode.I
 
 
-def encode(scan: Scan, state: CodecState,
-           mode_cfg: ModeConfig = ModeConfig(),
+def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
            mask_codec: int = bytecomp.DEFAULT_CODEC) -> EncodedScan:
-    """Encode one scan, updating ``state`` with it for the next P decision."""
+    """Encode one scan, updating ``state`` with it for the next scan; the
+    mirror of :func:`decode`.
+
+    ``mode`` None picks I or P with :func:`select_mode`; ``Mode.I`` or
+    ``Mode.P`` forces it. The first scan of a stream is always I.
+    """
     mask = extract_mask(scan.samples)
-    ref = state if select_mode(scan, state, mode_cfg) == Mode.P else None
-    enc = _encode(scan, ref, mask, mask_codec)
+    if mode is None:
+        mode = select_mode(scan, state)
+    is_p = mode == Mode.P and state.samples is not None
+    mask_bits = mask
+    if is_p:
+        if state.samples.shape != scan.samples.shape:
+            raise ValueError("scan shape differs from reference")
+        mask_bits = xor_mask(mask, state.mask)
+    mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
+    values = compact(scan.samples, mask)
+    if is_p:
+        # previous scan under the current mask; uint32 residuals wrap
+        values = values - compact(state.samples, mask)
+    enc = EncodedScan(Mode.P if is_p else Mode.I, values.size, mask_block,
+                      pfor_encode(_forward(values)))
     state.update(scan.samples, mask)
     return enc
 
@@ -251,6 +222,5 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
 
 
 __all__ = [
-    "Mode", "Policy", "ModeConfig", "CodecState", "EncodedScan",
-    "encode_i", "encode_p", "select_mode", "encode", "decode",
+    "Mode", "CodecState", "EncodedScan", "select_mode", "encode", "decode",
 ]

@@ -19,9 +19,11 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+from . import bytecomp
 from .codec import EncodedScan
 from .errors import (BadMagicError, ChecksumMismatchError, CorruptStreamError,
-                     TruncatedStreamError, UnsupportedVersionError)
+                     TruncatedStreamError, UnknownCodecError,
+                     UnsupportedVersionError)
 from .scan import ScanType, sample_dtype
 
 MAGIC = b"JFY1"
@@ -32,6 +34,8 @@ _HEAD = struct.Struct("<4sBBHHBIBI")
 HEADER_SIZE = _HEAD.size + 4
 _FRAME = struct.Struct("<II")
 _READ_CHUNK = 1 << 20
+# mask_codec ids a header may carry; zstd is reserved but still a known id
+_MASK_CODECS = (bytecomp.STORED, bytecomp.DEFLATE, bytecomp.ZSTD_RESERVED)
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,8 @@ class StreamHeader:
             raise ValueError("precision_um out of range")
         if self.frame_count is not None and not 0 <= self.frame_count < STREAMING:
             raise ValueError("frame_count out of range")
+        if self.mask_codec not in _MASK_CODECS:
+            raise ValueError(f"unknown mask codec id {self.mask_codec}")
         object.__setattr__(self, "scan_type", ScanType(self.scan_type))
 
     def to_bytes(self) -> bytes:
@@ -74,6 +80,8 @@ class StreamHeader:
             _HEAD.unpack(body)
         if version != VERSION:
             raise UnsupportedVersionError(f"unsupported version {version}")
+        if codec not in _MASK_CODECS:
+            raise UnknownCodecError(f"unknown mask codec id {codec}")
         try:
             return cls(ScanType(stype), rows, cols, width, precision, codec,
                        None if count == STREAMING else count)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from jiffy.bench import as_scans, run_ablation, run_bench, run_heuristic_eval, run_sweep
-from jiffy.codec import CodecState, ModeConfig, Policy, decode, encode
+from jiffy.codec import CodecState, Mode, decode, encode
 from jiffy.container import HEADER_SIZE, StreamHeader, read_stream, write_stream
 from jiffy.errors import JiffyError
 from jiffy.intcodec import pfor_decode, pfor_encode, zigzag_decode, zigzag_encode
@@ -21,7 +21,7 @@ from jiffy.synthetic import generate
 
 from .refimpl import ref_pfor_encode
 
-POLICIES = (Policy.AUTO, Policy.FORCE_I, Policy.FORCE_P)
+POLICIES = (None, Mode.I, Mode.P)
 
 
 def _random_samples(rng, rows, cols, width, flavor):
@@ -68,7 +68,7 @@ def test_criterion_1_losslessness():
             scans.append(Scan(ScanType.RANGE, width, s))
 
         est = CodecState()
-        encs = [encode(sc, est, ModeConfig(policy=policy)) for sc in scans]
+        encs = [encode(sc, est, policy) for sc in scans]
         dst = CodecState()
         for enc, sc in zip(encs, scans):
             out = decode(enc, dst, sc.scan_type, width, rows, cols)
@@ -82,7 +82,7 @@ def test_criterion_1_losslessness():
     for policy in POLICIES:
         est, dst = CodecState(), CodecState()
         for sc in (Scan(ScanType.RANGE, 4, hot), Scan(ScanType.RANGE, 4, hot[:, ::-1].copy())):
-            enc = encode(sc, est, ModeConfig(policy=policy))
+            enc = encode(sc, est, policy)
             assert np.array_equal(
                 decode(enc, dst, sc.scan_type, 4, 1, 6).samples, sc.samples)
 

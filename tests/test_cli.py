@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from jiffy.cli import main
-from jiffy.container import HEADER_SIZE
+from jiffy.codec import EncodedScan
+from jiffy.container import HEADER_SIZE, StreamReader, StreamWriter
 from jiffy.rawio import RawSequenceSpec, read_all
 from jiffy.synthetic import generate
 
@@ -95,6 +96,36 @@ def test_corrupt_container_reports_frame_and_exits_2(tmp_path, corpus, capsys):
     blob[HEADER_SIZE + 1] ^= 0x01        # frame 0 length field
     jfy.write_bytes(bytes(blob))
     assert run("decompress", "--input", jfy, "--output", back) == 2
+
+
+def test_codec_error_names_frame_and_exits_2(tmp_path, corpus, capsys):
+    # frame 2's value count no longer matches its mask; the CRC still holds
+    jfy = tmp_path / "seq.jfy"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    with open(jfy, "rb") as src:
+        reader = StreamReader(src)
+        header, encs = reader.header, list(reader)
+    e = encs[2]
+    encs[2] = EncodedScan(e.mode, e.value_count + 1, e.mask_block,
+                          e.value_block)
+    with open(jfy, "wb") as sink, StreamWriter(sink, header) as w:
+        for enc in encs:
+            w.write_frame(enc)
+    capsys.readouterr()
+    assert run("decompress", "--input", jfy,
+               "--output", tmp_path / "back.f32") == 2
+    assert "frame 2: value count" in capsys.readouterr().err
+    assert run("verify", "--input", corpus, "--shape", "16x64",
+               "--container", jfy) == 2
+    assert "frame 2: value count" in capsys.readouterr().err
+
+
+def test_compress_reports_container_size(tmp_path, corpus, capsys):
+    jfy = tmp_path / "seq.jfy"
+    assert run("compress", "--input", corpus, "--shape", "16x64",
+               "--output", jfy) == 0
+    size = jfy.stat().st_size
+    assert f"{4 * 16 * 64 * 4} -> {size} bytes" in capsys.readouterr().out
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

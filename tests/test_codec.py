@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from jiffy import bytecomp, codec
 from jiffy.bitmask import (compact, extract_mask, pack_mask, unpack_mask,
                            xor_mask)
-from jiffy.codec import (CodecState, EncodedScan, Mode, ModeConfig, Policy,
-                         decode, encode, encode_i, encode_p, select_mode)
-from jiffy.errors import CorruptStreamError, JiffyError
+from jiffy.codec import (CodecState, EncodedScan, Mode, decode, encode,
+                         select_mode)
+from jiffy.errors import CorruptStreamError
 from jiffy.intcodec import delta_wrap, pfor_decode, pfor_encode, zigzag_wrap
 from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
 from jiffy.synthetic import generate
@@ -43,7 +43,8 @@ GOLDEN_BYTES = bytes.fromhex("000501004507050004004a0004")
 
 
 def test_encoded_scan_golden_bytes():
-    enc = encode_i(mkscan(GOLDEN_SCAN), mask_codec=bytecomp.STORED)
+    enc = encode(mkscan(GOLDEN_SCAN), CodecState(), Mode.I,
+                 mask_codec=bytecomp.STORED)
     assert enc.to_bytes() == GOLDEN_BYTES
     assert enc.total_bytes == len(GOLDEN_BYTES)
 
@@ -95,10 +96,10 @@ def test_encode_extracts_full_mask_once(monkeypatch):
                         lambda a: shapes.append(a.shape) or extract(a))
     rng = np.random.default_rng(3)
     state = CodecState()
-    for policy in (Policy.AUTO, Policy.FORCE_I, Policy.FORCE_P):
+    for mode in (None, Mode.I, Mode.P):
         shapes.clear()
         scan = rand_scan(rng, 8, 16)
-        encode(scan, state, ModeConfig(policy))
+        encode(scan, state, mode)
         assert shapes.count((8, 16)) == 1
         assert np.array_equal(state.mask, extract(scan.samples))
 
@@ -106,7 +107,7 @@ def test_encode_extracts_full_mask_once(monkeypatch):
 @given(st.integers(0, 10_000))
 def test_wire_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    enc = encode_i(rand_scan(rng, 3, 17))
+    enc = encode(rand_scan(rng, 3, 17), CodecState(), Mode.I)
     back = EncodedScan.from_bytes(enc.to_bytes())
     assert back == enc
 
@@ -120,7 +121,7 @@ def test_mask_block_inflated_once(monkeypatch):
     enc = EncodedScan.from_bytes(GOLDEN_BYTES)
     roundtrip(enc, CodecState(), proto)
     assert len(calls) == 1                  # from_bytes; decode reuses it
-    built = encode_i(proto)
+    built = encode(proto, CodecState(), Mode.I)
     roundtrip(built, CodecState(), proto)
     roundtrip(built, CodecState(), proto)
     assert len(calls) == 2                  # first decode of a built scan
@@ -138,7 +139,8 @@ def test_mask_plaintext_follows_mask_block():
 
 
 def test_encode_i_all_zero():
-    enc = encode_i(mkscan(np.zeros((4, 8), dtype=np.uint16)))
+    enc = encode(mkscan(np.zeros((4, 8), dtype=np.uint16)), CodecState(),
+                 Mode.I)
     assert enc.value_count == 0
     assert pfor_decode(enc.value_block).size == 0
     mask = unpack_mask(bytecomp.decompress_block(enc.mask_block), (4, 8))
@@ -147,7 +149,8 @@ def test_encode_i_all_zero():
 
 def test_encode_i_constant_scan_pipeline_trace():
     # constant 1000: deltas [1000, 0 x31], zigzag [2000, 0 x31]
-    enc = encode_i(mkscan(np.full((4, 8), 1000, dtype=np.uint16)))
+    enc = encode(mkscan(np.full((4, 8), 1000, dtype=np.uint16)), CodecState(),
+                 Mode.I)
     codes = pfor_decode(enc.value_block)
     assert codes.tolist() == [2000] + [0] * 31
 
@@ -160,7 +163,7 @@ def test_encode_i_roundtrip(seed):
     width = int(rng.choice([1, 2, 4]))
     scan = rand_scan(rng, rows, cols, width, float(rng.random()))
     state = CodecState()
-    out = roundtrip(encode_i(scan), state, scan)
+    out = roundtrip(encode(scan, CodecState(), Mode.I), state, scan)
     assert out == scan
     assert np.array_equal(state.samples, scan.samples)
 
@@ -170,15 +173,17 @@ def test_encode_i_roundtrip(seed):
 
 
 def test_encode_p_requires_reference():
-    with pytest.raises(JiffyError):
-        encode_p(mkscan(GOLDEN_SCAN), CodecState())
+    # with no previous scan, a forced P codes the scan as a plain I-scan
+    scan = mkscan(GOLDEN_SCAN)
+    enc = encode(scan, CodecState(), Mode.P)
+    assert enc == encode(scan, CodecState(), Mode.I)
 
 
 def test_encode_p_shape_mismatch():
     state = CodecState()
     encode(mkscan(GOLDEN_SCAN), state)
     with pytest.raises(ValueError):
-        encode_p(mkscan([[1, 2], [3, 4]]), state)
+        encode(mkscan([[1, 2], [3, 4]]), state, Mode.P)
 
 
 def test_identical_scan_codes_smaller_as_p():
@@ -186,8 +191,8 @@ def test_identical_scan_codes_smaller_as_p():
     scan = rand_scan(rng, 16, 64, sparsity=0.2)
     state = CodecState()
     encode(scan, state)
-    p = encode_p(scan, state)
-    i = encode_i(scan)
+    p = encode(scan, state, Mode.P)
+    i = encode(scan, CodecState(), Mode.I)
     assert p.total_bytes < i.total_bytes
     # residuals are all zero -> value block is the minimal constant block
     dec_state = CodecState()
@@ -200,7 +205,7 @@ def test_p_after_all_zero_previous():
     cur = mkscan(np.arange(32, dtype=np.uint16).reshape(4, 8))
     state = CodecState()
     encode(prev, state)
-    enc = encode_p(cur, state)
+    enc = encode(cur, state, Mode.P)
     # prev contributes nothing: residuals equal the current values
     codes = pfor_decode(enc.value_block)
     vals = cur.samples[cur.samples != 0].astype(np.uint32)
@@ -225,11 +230,11 @@ def test_encode_p_roundtrip(seed):
 
     est = CodecState()
     encode(prev, est)
-    enc = encode_p(cur_scan, est)
+    enc = encode(cur_scan, est, Mode.P)
     dst = CodecState()
     encode(prev, dst)       # decoder reached the same reference via frame 1
     dst2 = CodecState()
-    roundtrip(encode_i(prev), dst2, prev)
+    roundtrip(encode(prev, CodecState(), Mode.I), dst2, prev)
     out = roundtrip(enc, dst2, cur_scan)
     assert out == cur_scan
 
@@ -252,14 +257,14 @@ def test_residual_plain_variant_roundtrips():
     enc = EncodedScan.from_bytes(wire)
     assert enc.residual_plain
     dec = CodecState()
-    roundtrip(encode_i(prev), dec, prev)
+    roundtrip(encode(prev, CodecState(), Mode.I), dec, prev)
     assert roundtrip(enc, dec, cur) == cur
 
 
 def test_residual_plain_bit_ignored_on_i_scan():
     rng = np.random.default_rng(10)
     scan = rand_scan(rng, 8, 16)
-    plain = encode_i(scan)
+    plain = encode(scan, CodecState(), Mode.I)
     flagged = EncodedScan.from_bytes(bytes([0x02]) + plain.to_bytes()[1:])
     assert flagged.mode == Mode.I and flagged.residual_plain
     assert roundtrip(flagged, CodecState(), scan) == \
@@ -281,10 +286,9 @@ def test_encoder_never_sets_residual_plain():
 
 
 def test_first_scan_is_always_i():
-    assert select_mode(mkscan(GOLDEN_SCAN), CodecState(), ModeConfig()) == Mode.I
+    assert select_mode(mkscan(GOLDEN_SCAN), CodecState()) == Mode.I
     state = CodecState()
-    enc = encode(mkscan(GOLDEN_SCAN), state,
-                 ModeConfig(policy=Policy.FORCE_P))
+    enc = encode(mkscan(GOLDEN_SCAN), state, Mode.P)
     assert enc.mode == Mode.I
 
 
@@ -294,16 +298,14 @@ def test_static_sequence_selects_p():
     state = CodecState()
     encode(Scan(ScanType.RANGE, 2, base), state)
     jitter = base + rng.integers(0, 2, base.shape).astype(np.uint16)
-    assert select_mode(Scan(ScanType.RANGE, 2, jitter), state,
-                       ModeConfig()) == Mode.P
+    assert select_mode(Scan(ScanType.RANGE, 2, jitter), state) == Mode.P
 
 
 def test_decorrelated_sequence_selects_i():
     rng = np.random.default_rng(5)
     state = CodecState()
     encode(rand_scan(rng, 16, 64, sparsity=0), state)
-    assert select_mode(rand_scan(rng, 16, 64, sparsity=0), state,
-                       ModeConfig()) == Mode.I
+    assert select_mode(rand_scan(rng, 16, 64, sparsity=0), state) == Mode.I
 
 
 def test_forced_policies():
@@ -311,8 +313,18 @@ def test_forced_policies():
     a, b = rand_scan(rng, 8, 16), rand_scan(rng, 8, 16)
     state = CodecState()
     encode(a, state)
-    assert select_mode(b, state, ModeConfig(policy=Policy.FORCE_I)) == Mode.I
-    assert select_mode(b, state, ModeConfig(policy=Policy.FORCE_P)) == Mode.P
+    assert encode(b, state, Mode.I).mode == Mode.I
+    assert encode(b, state, Mode.P).mode == Mode.P
+
+
+def test_forced_i_holds_where_auto_picks_p():
+    # Mode.I == 0 is falsy: forcing it must not fall back to the trial
+    rng = np.random.default_rng(12)
+    base = rng.integers(500, 600, size=(16, 64), dtype=np.uint16)
+    scans = [Scan(ScanType.RANGE, 2, base + k) for k in range(4)]
+    auto, forced = CodecState(), CodecState()
+    assert [encode(s, auto).mode for s in scans] == [Mode.I] + [Mode.P] * 3
+    assert [encode(s, forced, Mode.I).mode for s in scans] == [Mode.I] * 4
 
 
 def test_test_lines_clamped_to_rows():
@@ -320,8 +332,14 @@ def test_test_lines_clamped_to_rows():
     state = CodecState()
     encode(rand_scan(rng, 2, 30), state)
     # more test lines than rows must not crash or duplicate rows
-    assert select_mode(rand_scan(rng, 2, 30), state,
-                       ModeConfig(test_lines=16)) in (Mode.I, Mode.P)
+    assert select_mode(rand_scan(rng, 2, 30), state, 16) in (Mode.I, Mode.P)
+
+
+def test_test_lines_must_be_positive():
+    state = CodecState()
+    encode(mkscan(GOLDEN_SCAN), state)
+    with pytest.raises(ValueError, match="test_lines"):
+        select_mode(mkscan(GOLDEN_SCAN), state, 0)
 
 
 @given(st.integers(0, 2_000))
@@ -330,9 +348,9 @@ def test_mode_policies_decode_identically(seed):
     rng = np.random.default_rng(seed)
     scans = [rand_scan(rng, 6, 24, sparsity=0.3) for _ in range(4)]
     results = []
-    for policy in Policy:
+    for mode in (None, Mode.I, Mode.P):
         est = CodecState()
-        encs = [encode(s, est, ModeConfig(policy=policy)) for s in scans]
+        encs = [encode(s, est, mode) for s in scans]
         dst = CodecState()
         results.append([roundtrip(e, dst, scans[0]) for e in encs])
     for decoded in results:
@@ -348,13 +366,13 @@ def test_decode_p_without_reference():
     scan = rand_scan(rng, 4, 8)
     state = CodecState()
     encode(scan, state)
-    enc = encode_p(scan, state)
+    enc = encode(scan, state, Mode.P)
     with pytest.raises(CorruptStreamError):
         roundtrip(enc, CodecState(), scan)
 
 
 def test_decode_count_mismatch():
-    enc = encode_i(mkscan(GOLDEN_SCAN))
+    enc = encode(mkscan(GOLDEN_SCAN), CodecState(), Mode.I)
     bad = EncodedScan(enc.mode, enc.value_count + 1, enc.mask_block,
                       enc.value_block)
     with pytest.raises(CorruptStreamError):
@@ -363,7 +381,7 @@ def test_decode_count_mismatch():
 
 def test_decode_zero_outside_mask():
     scan = mkscan([[5, 7]])
-    enc = encode_i(scan)
+    enc = encode(scan, CodecState(), Mode.I)
     forged = pfor_encode(zigzag_wrap(delta_wrap(
         np.array([0, 7], dtype=np.uint32))))
     bad = EncodedScan(Mode.I, 2, enc.mask_block, forged)
@@ -373,7 +391,7 @@ def test_decode_zero_outside_mask():
 
 def test_decode_sample_too_wide():
     scan = mkscan([[5, 7]], width=1)
-    enc = encode_i(scan)
+    enc = encode(scan, CodecState(), Mode.I)
     forged = pfor_encode(zigzag_wrap(delta_wrap(
         np.array([300, 7], dtype=np.uint32))))
     bad = EncodedScan(Mode.I, 2, enc.mask_block, forged)
@@ -383,7 +401,7 @@ def test_decode_sample_too_wide():
 
 def test_decode_value_block_count_mismatch():
     scan = mkscan([[5, 7]])
-    enc = encode_i(scan)
+    enc = encode(scan, CodecState(), Mode.I)
     forged = pfor_encode(np.array([10], dtype=np.uint32))
     bad = EncodedScan(Mode.I, 2, enc.mask_block, forged)
     with pytest.raises(CorruptStreamError):

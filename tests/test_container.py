@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from jiffy import bytecomp
-from jiffy.codec import CodecState, EncodedScan, Mode, encode, encode_i
+from jiffy.codec import CodecState, EncodedScan, Mode, encode
 from jiffy.container import (HEADER_SIZE, MAGIC, StreamHeader, StreamReader,
                              StreamWriter, read_stream, write_stream)
 from jiffy.errors import (BadMagicError, ChecksumMismatchError,
                           CorruptStreamError, JiffyError,
-                          TruncatedStreamError, UnsupportedVersionError)
+                          TruncatedStreamError, UnknownCodecError,
+                          UnsupportedVersionError)
 from jiffy.scan import Scan, ScanType
 from jiffy.varint import encode_uvarint
 
@@ -85,6 +86,10 @@ def test_header_rejections():
     body[5] = 99                                         # scan_type
     with pytest.raises(CorruptStreamError):
         StreamHeader.from_bytes(_with_fixed_crc(bytes(body)))
+    body = bytearray(GOLDEN_HEADER[:20])
+    body[15] = 200                                       # mask_codec
+    with pytest.raises(UnknownCodecError):
+        StreamHeader.from_bytes(_with_fixed_crc(bytes(body)))
 
 
 def test_header_field_validation():
@@ -96,6 +101,10 @@ def test_header_field_validation():
         StreamHeader(ScanType.RANGE, 2, 4, precision_um=0)
     with pytest.raises(ValueError):
         StreamHeader(ScanType.RANGE, 2, 4, frame_count=0xFFFFFFFF)
+    with pytest.raises(ValueError, match="mask codec"):
+        StreamHeader(ScanType.RANGE, 2, 4, mask_codec=200)
+    # the reserved zstd id is known, so a header may carry it
+    StreamHeader(ScanType.RANGE, 2, 4, mask_codec=bytecomp.ZSTD_RESERVED)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +137,7 @@ def test_declared_count_enforced_on_close():
     head = StreamHeader(ScanType.RANGE, 2, 4, frame_count=2)
     buf = io.BytesIO()
     w = StreamWriter(buf, head)
-    w.write_frame(encode_i(small_scans(1)[0]))
+    w.write_frame(encode(small_scans(1)[0], CodecState(), Mode.I))
     with pytest.raises(ValueError, match="declares 2"):
         w.close()
     # the context manager skips the check when the body already raised
@@ -172,7 +181,8 @@ def test_codec_error_wrapped_with_frame_index():
     head = StreamHeader(ScanType.RANGE, 2, 4, frame_count=1)
     buf = io.BytesIO()
     buf.write(head.to_bytes())
-    payload = b"\xff" + encode_i(small_scans(1)[0]).to_bytes()[1:]
+    record = encode(small_scans(1)[0], CodecState(), Mode.I).to_bytes()
+    payload = b"\xff" + record[1:]
     buf.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
     buf.write(payload)
     _, reader = read_stream(io.BytesIO(buf.getvalue()))
