@@ -6,14 +6,14 @@ Runs the benchmark harness on a synthetic driving-style sequence and
 prints the three tables the harness knows how to produce.
 """
 
-from jiffy import QuantizationSpec, ScanType
-from jiffy.bench import as_scans, run_ablation, run_bench, run_sweep
+from jiffy import QuantizationSpec, quantize
+from jiffy.bench import run_ablation, run_bench, run_sweep
 from jiffy.synthetic import generate
 
 frames, rows, cols = 30, 64, 512
 seq = generate("driving_like", frames, rows, cols, seed=21)
-scans = as_scans(seq, QuantizationSpec(precision_um=1000, sample_width=2),
-                 ScanType.RANGE)
+spec = QuantizationSpec(precision_um=1000, sample_width=2)
+scans = [quantize(frame, spec) for frame in seq]      # float meters -> Scans
 
 # throughput and ratio, averaged over repetitions
 rep = run_bench(scans, reps=3)

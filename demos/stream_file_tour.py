@@ -14,7 +14,8 @@ import numpy as np
 
 from jiffy import ScanType
 from jiffy.codec import CodecState, decode, encode
-from jiffy.container import HEADER_SIZE, StreamHeader, StreamWriter, read_stream
+from jiffy.container import (HEADER_SIZE, StreamHeader, StreamReader,
+                             StreamWriter)
 from jiffy.errors import JiffyError
 from jiffy.scan import Scan
 from jiffy.synthetic import generate
@@ -55,7 +56,8 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # 4. normal read: header first, then one encoded scan per iteration
     with open(path, "rb") as f:
-        head, reader = read_stream(f)
+        reader = StreamReader(f)
+        head = reader.header
         dec = CodecState()
         for i, enc in enumerate(reader):
             scan = decode(enc, dec, head.scan_type, head.sample_width,
@@ -70,7 +72,6 @@ with tempfile.TemporaryDirectory() as tmp:
     bad.write_bytes(bytes(damaged))
     try:
         with open(bad, "rb") as f:
-            head, reader = read_stream(f)
-            list(reader)
+            list(StreamReader(f))
     except JiffyError as e:
         print(f"corruption detected: {e}")

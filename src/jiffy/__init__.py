@@ -15,16 +15,16 @@ Quick use::
     enc = encode(scan, state)                       # EncodedScan
     ...
 
-Streams on disk go through StreamWriter / StreamReader; the `jiffy`
-console script wraps the whole thing. ``encode(scan, state, Mode.I)`` or
-``Mode.P`` forces the scan mode instead of trial-compressing. The single
-stages (jiffy.bitmask, jiffy.intcodec, jiffy.bytecomp), jiffy.codec's
+Streams on disk go through ``with StreamWriter(sink, header) as w:`` and
+``StreamReader(source)``, whose ``header`` attribute is the parsed header;
+the `jiffy` console script wraps the whole thing.
+``encode(scan, state, Mode.I)`` or ``Mode.P`` forces the scan mode instead
+of trial-compressing. The single stages (jiffy.bitmask, jiffy.intcodec, jiffy.bytecomp), jiffy.codec's
 select_mode and the jiffy.bench harness are imported from their modules.
 """
 
 from .codec import CodecState, EncodedScan, Mode, decode, encode
-from .container import (StreamHeader, StreamReader, StreamWriter, read_stream,
-                        write_stream)
+from .container import StreamHeader, StreamReader, StreamWriter
 from .errors import (BadMagicError, ChecksumMismatchError, CorruptStreamError,
                      JiffyError, TruncatedStreamError, UnknownCodecError,
                      UnsupportedVersionError)
@@ -40,8 +40,8 @@ __all__ = [
     "quantize", "dequantize", "canonicalize",
     "Mode", "CodecState", "EncodedScan",
     "encode", "decode",
-    "StreamHeader", "StreamWriter", "StreamReader", "read_stream",
-    "write_stream", "RawSequenceSpec", "generate",
+    "StreamHeader", "StreamWriter", "StreamReader",
+    "RawSequenceSpec", "generate",
     "JiffyError", "CorruptStreamError", "TruncatedStreamError",
     "ChecksumMismatchError", "BadMagicError", "UnsupportedVersionError",
     "UnknownCodecError",

@@ -41,22 +41,6 @@ ABLATION_LADDER = (
 )
 
 
-def as_scans(frames: np.ndarray, spec: QuantizationSpec,
-             scan_type: ScanType) -> list[Scan]:
-    """Turn raw frames into quantized Scans.
-
-    Float frames go through quantize(); integer frames are taken as already
-    quantized samples at their own width.
-    """
-    frames = np.asarray(frames)
-    if frames.ndim != 3:
-        raise ValueError("frames must be (n, rows, cols)")
-    if frames.dtype.kind == "f":
-        return [quantize(f, spec, scan_type) for f in frames]
-    width = frames.dtype.itemsize
-    return [Scan(scan_type, width, f) for f in frames]
-
-
 @dataclass
 class FrameStat:
     index: int
@@ -284,7 +268,7 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     in_bytes = frames.nbytes
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)
-        scans = as_scans(frames, spec, scan_type)
+        scans = [quantize(f, spec, scan_type) for f in frames]
         encs = _encode_all(scans)
         decoded = _decode_all(encs, scans[0])
         _verify_same(scans, decoded)

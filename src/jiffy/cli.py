@@ -60,20 +60,28 @@ def _precisions(text: str) -> list[int]:
     return out
 
 
-def _add_raw_input(p: _Parser, with_precision=True):
+def _add_raw_input(p: _Parser):
     p.add_argument("--input", required=True, help="raw frame dump to read")
     p.add_argument("--shape", required=True, type=_shape,
                    help="frame shape as ROWSxCOLS, e.g. 128x1024")
     p.add_argument("--etype", default="float32", choices=sorted(ELEMENT_TYPES),
                    help="raw element type (default float32)")
+
+
+def _add_sample_format(p: _Parser):
     p.add_argument("--scan-type", default="range", choices=sorted(_SCAN_TYPES),
                    help="scan payload kind (default range)")
-    if with_precision:
-        p.add_argument("--precision-um", type=int, default=1000,
-                       help="quantization step in micrometers (default 1000)")
-        p.add_argument("--sample-width", type=int, default=2, choices=(1, 2, 4),
-                       help="quantized sample bytes for float input "
-                            "(integer input keeps its own width)")
+    p.add_argument("--sample-width", type=int, default=2, choices=(1, 2, 4),
+                   help="quantized sample bytes for float input "
+                        "(integer input keeps its own width)")
+
+
+def _add_scan_input(p: _Parser):
+    """Raw frames turned into scans: float frames are quantized."""
+    _add_raw_input(p)
+    _add_sample_format(p)
+    p.add_argument("--precision-um", type=int, default=1000,
+                   help="quantization step in micrometers (default 1000)")
 
 
 def build_parser() -> _Parser:
@@ -82,7 +90,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     c = sub.add_parser("compress", help="raw frames -> container")
-    _add_raw_input(c)
+    _add_scan_input(c)
     c.add_argument("--mode", default="auto", choices=sorted(_MODES),
                    help="scan mode: auto selects per scan, i or p forces it "
                         "(default auto)")
@@ -100,12 +108,12 @@ def build_parser() -> _Parser:
     d.set_defaults(func=cmd_decompress)
 
     v = sub.add_parser("verify", help="compare a container against raw input")
-    _add_raw_input(v, with_precision=False)
+    _add_raw_input(v)
     v.add_argument("--container", required=True)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="codec throughput and ratio")
-    _add_raw_input(b)
+    _add_scan_input(b)
     b.add_argument("--mode", default="auto", choices=sorted(_MODES))
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--csv", help="write per-frame stats to this CSV file")
@@ -114,19 +122,20 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sweep", help="ratio vs quantization precision")
     _add_raw_input(s)
+    _add_sample_format(s)
     s.add_argument("--precisions", required=True, type=_precisions,
                    help="comma-separated precisions in micrometers")
     s.add_argument("--csv", help="write the table to this CSV file")
     s.set_defaults(func=cmd_sweep)
 
     a = sub.add_parser("ablate", help="pipeline-stage ablation ladder")
-    _add_raw_input(a)
+    _add_scan_input(a)
     a.add_argument("--csv", help="write the table to this CSV file")
     a.set_defaults(func=cmd_ablate)
 
     h = sub.add_parser("heuristic-eval",
                        help="mode heuristic vs brute-force optimum")
-    _add_raw_input(h)
+    _add_scan_input(h)
     h.add_argument("--test-lines", type=int, default=TEST_LINES)
     h.set_defaults(func=cmd_heuristic_eval)
 
@@ -144,8 +153,7 @@ def build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> RawSequenceSpec:
-    rows, cols = args.shape
-    return RawSequenceSpec(args.input, args.etype, rows, cols,
+    return RawSequenceSpec(args.input, args.etype, *args.shape,
                            _SCAN_TYPES[args.scan_type])
 
 
@@ -165,10 +173,11 @@ def _scan_from_raw(frame: np.ndarray, qspec: QuantizationSpec,
 def _load_scans(args):
     spec = _spec_from_args(args)
     qspec = _qspec_from_args(args, spec)
-    scans = benchmod.as_scans(rawio.read_all(spec), qspec, spec.scan_type)
+    scans = [_scan_from_raw(frame, qspec, spec.scan_type)
+             for frame in rawio.read_frames(spec)]
     if not scans:
         raise ValueError(f"{spec.path}: no frames")
-    return spec, qspec, scans
+    return spec, scans
 
 
 def _decoded_scans(reader: StreamReader):
@@ -252,7 +261,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
+    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
     with open(args.container, "rb") as src:
         reader = StreamReader(src)
         h = reader.header
@@ -284,7 +293,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _, _, scans = _load_scans(args)
+    _, scans = _load_scans(args)
     report = benchmod.run_bench(scans, reps=args.reps, mode=_MODES[args.mode])
     hdr = (f"{'type':14s} {'shape':>10s} {'frames':>6s} {'ratio':>6s} "
            f"{'enc scans/s':>11s} {'enc Mpts/s':>10s} "
@@ -327,7 +336,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    spec, _, scans = _load_scans(args)
+    spec, scans = _load_scans(args)
     rows = benchmod.run_ablation(scans,
                                  input_bytes_per_sample=spec.dtype.itemsize)
     print(f"{'variant':24s} {'ratio':>7s} {'bits/sample':>11s} {'P-scans':>7s}")
@@ -340,7 +349,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_heuristic_eval(args) -> int:
-    _, _, scans = _load_scans(args)
+    _, scans = _load_scans(args)
     r = benchmod.run_heuristic_eval(scans, test_lines=args.test_lines)
     print(f"frames evaluated:  {r['frames_evaluated']}")
     print(f"accuracy:          {r['accuracy'] * 100:.1f}%")

@@ -125,18 +125,25 @@ def _forward(values: np.ndarray) -> np.ndarray:
 # encode
 
 
+def _check_shape(scan: Scan, state: CodecState):
+    if state.samples.shape != scan.samples.shape:
+        raise ValueError("scan shape differs from reference")
+
+
 def select_mode(scan: Scan, state: CodecState,
                 test_lines: int = TEST_LINES) -> Mode:
     """Pick I or P by trial-compressing a few scanlines.
 
     Runs only the value pipeline (mask compression excluded) over
     ``test_lines`` evenly spaced rows and keeps the cheaper mode, preferring
-    I on a tie. The first scan of a stream is always I.
+    I on a tie. The first scan of a stream is always I; a scan shaped unlike
+    the previous one raises ValueError.
     """
     if test_lines < 1:
         raise ValueError("test_lines must be positive")
     if state.samples is None:
         return Mode.I
+    _check_shape(scan, state)
 
     rows = scan.rows
     nlines = min(test_lines, rows)
@@ -158,7 +165,8 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
     mirror of :func:`decode`.
 
     ``mode`` None picks I or P with :func:`select_mode`; ``Mode.I`` or
-    ``Mode.P`` forces it. The first scan of a stream is always I.
+    ``Mode.P`` forces it. The first scan of a stream is always I. Unless
+    forced to I, a scan shaped unlike the previous one raises ValueError.
     """
     mask = extract_mask(scan.samples)
     if mode is None:
@@ -166,8 +174,7 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
     is_p = mode == Mode.P and state.samples is not None
     mask_bits = mask
     if is_p:
-        if state.samples.shape != scan.samples.shape:
-            raise ValueError("scan shape differs from reference")
+        _check_shape(scan, state)
         mask_bits = xor_mask(mask, state.mask)
     mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
     values = compact(scan.samples, mask)

@@ -123,7 +123,10 @@ class StreamWriter:
 
 
 class StreamReader:
-    """Sequential frame reader; iterate to get EncodedScan records."""
+    """Sequential frame reader; iterate to get EncodedScan records.
+
+    With a declared frame count, any byte after the last record is an error.
+    """
 
     def __init__(self, source):
         self._source = source
@@ -153,6 +156,9 @@ class StreamReader:
         i = self._index
         declared = self.header.frame_count
         if declared is not None and i >= declared:
+            if self._source.read(1):
+                raise CorruptStreamError(
+                    f"data after the last of {declared} declared frames")
             raise StopIteration
         head = self._source.read(_FRAME.size)
         if not head and declared is None:
@@ -169,17 +175,3 @@ class StreamReader:
             raise type(e)(str(e), frame_index=i) from None
         self._index += 1
         return enc
-
-
-def write_stream(sink, header: StreamHeader, frames) -> int:
-    """Write a whole stream; returns the number of frames written."""
-    with StreamWriter(sink, header) as w:
-        for enc in frames:
-            w.write_frame(enc)
-        return w.frames_written
-
-
-def read_stream(source) -> tuple[StreamHeader, StreamReader]:
-    """Open a stream: returns the parsed header and a frame iterator."""
-    reader = StreamReader(source)
-    return reader.header, reader

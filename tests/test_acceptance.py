@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from jiffy.bench import as_scans, run_ablation, run_bench, run_heuristic_eval, run_sweep
+from jiffy.bench import run_ablation, run_bench, run_heuristic_eval, run_sweep
 from jiffy.codec import CodecState, Mode, decode, encode
-from jiffy.container import HEADER_SIZE, StreamHeader, read_stream, write_stream
+from jiffy.container import (HEADER_SIZE, StreamHeader, StreamReader,
+                             StreamWriter)
 from jiffy.errors import JiffyError
 from jiffy.intcodec import pfor_decode, pfor_encode, zigzag_decode, zigzag_encode
 from jiffy.scan import (QuantizationSpec, Scan, ScanType, dequantize,
@@ -168,7 +169,8 @@ def test_criterion_4_pfor_oracle_equivalence():
 def test_criterion_5_ablation_ordering():
     t0 = time.time()
     seq = generate("static_scene", 200, 128, 1024, sparsity=0.3, seed=5)
-    scans = as_scans(seq, QuantizationSpec(1000, 2), ScanType.RANGE)
+    spec = QuantizationSpec(1000, 2)
+    scans = [quantize(f, spec) for f in seq]
     del seq
     rows = {r["variant"]: r["ratio"] for r in run_ablation(scans)}
     order = ["delta+pfor", "pfor", "delta+zigzag+pfor",
@@ -189,7 +191,7 @@ def test_criterion_6_heuristic_accuracy():
         generate("driving_like", 200, 64, 256, seed=61),
         generate("random", 100, 64, 256, seed=62),
     ])
-    scans = as_scans(seq, qspec, ScanType.RANGE)
+    scans = [quantize(f, qspec) for f in seq]
     report = run_heuristic_eval(scans)
     assert report["frames_evaluated"] == 499
     assert report["accuracy"] >= 0.90, report
@@ -213,7 +215,8 @@ def test_criterion_7_precision_sweep():
 
 def test_criterion_8_throughput():
     seq = generate("static_scene", 16, 128, 1024, seed=8)
-    scans = as_scans(seq, QuantizationSpec(1000, 2), ScanType.RANGE)
+    spec = QuantizationSpec(1000, 2)
+    scans = [quantize(f, spec) for f in seq]
     rep = run_bench(scans, reps=2)
     # Table-IV-shaped report: scans/s and points/s, both directions
     assert rep.encode_scans_per_s > 0 and rep.decode_scans_per_s > 0
@@ -237,8 +240,10 @@ def _acceptance_stream():
         scans.append(Scan(ScanType.RANGE, 2, s))
     buf = io.BytesIO()
     state = CodecState()
-    write_stream(buf, StreamHeader(ScanType.RANGE, 8, 16, frame_count=3),
-                 (encode(sc, state) for sc in scans))
+    with StreamWriter(buf, StreamHeader(ScanType.RANGE, 8, 16,
+                                        frame_count=3)) as w:
+        for sc in scans:
+            w.write_frame(encode(sc, state))
     return buf.getvalue()
 
 
@@ -253,7 +258,8 @@ def _frame_spans(blob):
 
 
 def _consume(blob):
-    head, reader = read_stream(io.BytesIO(blob))
+    reader = StreamReader(io.BytesIO(blob))
+    head = reader.header
     state = CodecState()
     for enc in reader:
         decode(enc, state, head.scan_type, head.sample_width,

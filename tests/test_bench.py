@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from jiffy.bench import (ABLATION_LADDER, as_scans, run_ablation, run_bench,
+from jiffy.bench import (ABLATION_LADDER, run_ablation, run_bench,
                          run_heuristic_eval, run_sweep)
-from jiffy.scan import QuantizationSpec, Scan, ScanType
+from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
 from jiffy.synthetic import generate
 
 SPEC_1MM = QuantizationSpec(precision_um=1000, sample_width=2)
@@ -14,25 +14,7 @@ SPEC_1MM = QuantizationSpec(precision_um=1000, sample_width=2)
 
 def scans_of(kind, frames=6, rows=32, cols=64, seed=0, **kw):
     seq = generate(kind, frames, rows, cols, seed=seed, **kw)
-    return as_scans(seq, SPEC_1MM, ScanType.RANGE)
-
-
-def test_as_scans_float_quantizes():
-    seq = np.full((2, 4, 8), 1.2344, dtype=np.float32)
-    scans = as_scans(seq, SPEC_1MM, ScanType.RANGE)
-    assert len(scans) == 2 and scans[0].samples[0, 0] == 1234
-
-
-def test_as_scans_int_passthrough():
-    seq = np.arange(2 * 4 * 8, dtype=np.uint16).reshape(2, 4, 8)
-    scans = as_scans(seq, SPEC_1MM, ScanType.SIGNAL)
-    assert scans[1].sample_width == 2
-    assert np.array_equal(scans[1].samples, seq[1])
-
-
-def test_as_scans_rejects_2d():
-    with pytest.raises(ValueError):
-        as_scans(np.zeros((4, 8), dtype=np.uint16), SPEC_1MM, ScanType.RANGE)
+    return [quantize(f, SPEC_1MM) for f in seq]
 
 
 def test_run_bench_report_sanity(tmp_path):

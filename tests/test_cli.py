@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -120,6 +121,23 @@ def test_codec_error_names_frame_and_exits_2(tmp_path, corpus, capsys):
     assert "frame 2: value count" in capsys.readouterr().err
 
 
+def test_bytes_after_declared_frames_exit_2(tmp_path, corpus, capsys):
+    jfy = tmp_path / "seq.jfy"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    blob = jfy.read_bytes()
+    junk, twice = tmp_path / "junk.jfy", tmp_path / "twice.jfy"
+    junk.write_bytes(blob + b"garbage")
+    twice.write_bytes(blob + blob[HEADER_SIZE:])      # every record again
+    capsys.readouterr()
+    for bad in (junk, twice):
+        assert run("decompress", "--input", bad,
+                   "--output", tmp_path / "back.f32") == 2
+        assert "after the last of 4 declared frames" in capsys.readouterr().err
+        assert run("verify", "--input", corpus, "--shape", "16x64",
+                   "--container", bad) == 2
+        assert "after the last of 4 declared frames" in capsys.readouterr().err
+
+
 def test_compress_reports_container_size(tmp_path, corpus, capsys):
     jfy = tmp_path / "seq.jfy"
     assert run("compress", "--input", corpus, "--shape", "16x64",
@@ -146,6 +164,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ragged.write_bytes(b"\x00" * 13)
     assert run("compress", "--input", ragged, "--shape", "4x4",
                "--output", tmp_path / "o.jfy") == 1
+
+
+def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):
+    # verify takes scan type, width and precision from the container header;
+    # sweep takes its precisions from --precisions
+    jfy = tmp_path / "seq.jfy"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    for argv in (("verify", "--input", corpus, "--shape", "16x64",
+                  "--scan-type", "signal", "--container", jfy),
+                 ("sweep", "--input", corpus, "--shape", "16x64",
+                  "--precision-um", 7, "--precisions", "1000")):
+        with pytest.raises(SystemExit) as ei:
+            run(*argv)
+        assert ei.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_reports_and_csv_json(tmp_path, corpus, capsys):
@@ -203,8 +236,7 @@ def test_compress_integer_input_keeps_width(tmp_path, capsys):
                "--etype", "uint16", "--scan-type", "signal",
                "--output", jfy) == 0
     assert run("verify", "--input", raw, "--shape", "4x8",
-               "--etype", "uint16", "--scan-type", "signal",
-               "--container", jfy) == 0
+               "--etype", "uint16", "--container", jfy) == 0
     out = tmp_path / "back.u16"
     assert run("decompress", "--input", jfy, "--etype", "uint16",
                "--output", out) == 0
@@ -220,3 +252,26 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert raw.stat().st_size == 4 * 8 * 4
+
+
+def test_ablate_and_heuristic_on_integer_input(tmp_path, corpus, capsys):
+    # integer frames are the quantized samples at their own width: the same
+    # scans as the float corpus quantized at the default 1 mm step
+    jfy, q = tmp_path / "seq.jfy", tmp_path / "q.u16"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    run("decompress", "--input", jfy, "--etype", "uint16", "--output", q)
+    ablation, heuristic = {}, {}
+    for raw, etype in ((corpus, "float32"), (q, "uint16")):
+        csv_path = tmp_path / f"{etype}.csv"
+        assert run("ablate", "--input", raw, "--shape", "16x64",
+                   "--etype", etype, "--csv", csv_path) == 0
+        ablation[etype] = list(csv.DictReader(open(csv_path)))
+        capsys.readouterr()
+        assert run("heuristic-eval", "--input", raw, "--shape", "16x64",
+                   "--etype", etype) == 0
+        heuristic[etype] = capsys.readouterr().out
+    assert heuristic["float32"] == heuristic["uint16"]
+    for f, u in zip(ablation["float32"], ablation["uint16"], strict=True):
+        assert f["output_bytes"] == u["output_bytes"]
+        # ratios count the ingested element size: 4 float bytes, 2 integer
+        assert float(f["ratio"]) == pytest.approx(2 * float(u["ratio"]))

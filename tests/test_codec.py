@@ -186,6 +186,24 @@ def test_encode_p_shape_mismatch():
         encode(mkscan([[1, 2], [3, 4]]), state, Mode.P)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (4, 16)])
+def test_shape_change_raises_unless_forced_i(shape):
+    # the trial indexes the reference with the new scan's rows and compacts
+    # it with the new scan's mask, so the shape is checked before either
+    rng = np.random.default_rng(13)
+    first, scan = rand_scan(rng, 4, 8), rand_scan(rng, *shape)
+    for mode in (None, Mode.P):
+        state = CodecState()
+        encode(first, state)
+        with pytest.raises(ValueError, match="differs from reference"):
+            encode(scan, state, mode)
+    with pytest.raises(ValueError, match="differs from reference"):
+        select_mode(scan, state)
+    enc = encode(scan, state, Mode.I)
+    assert enc.mode == Mode.I
+    assert roundtrip(enc, CodecState(), scan) == scan
+
+
 def test_identical_scan_codes_smaller_as_p():
     rng = np.random.default_rng(3)
     scan = rand_scan(rng, 16, 64, sparsity=0.2)

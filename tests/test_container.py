@@ -9,7 +9,7 @@ import pytest
 from jiffy import bytecomp
 from jiffy.codec import CodecState, EncodedScan, Mode, encode
 from jiffy.container import (HEADER_SIZE, MAGIC, StreamHeader, StreamReader,
-                             StreamWriter, read_stream, write_stream)
+                             StreamWriter)
 from jiffy.errors import (BadMagicError, ChecksumMismatchError,
                           CorruptStreamError, JiffyError,
                           TruncatedStreamError, UnknownCodecError,
@@ -37,7 +37,9 @@ def build_stream(scans, frame_count=None):
                         frame_count=frame_count)
     buf = io.BytesIO()
     state = CodecState()
-    write_stream(buf, head, (encode(s, state) for s in scans))
+    with StreamWriter(buf, head) as w:
+        for s in scans:
+            w.write_frame(encode(s, state))
     return buf.getvalue()
 
 
@@ -114,7 +116,8 @@ def test_header_field_validation():
 def test_write_read_identity():
     scans = small_scans(5)
     raw = build_stream(scans, frame_count=5)
-    head, reader = read_stream(io.BytesIO(raw))
+    reader = StreamReader(io.BytesIO(raw))
+    head = reader.header
     assert head.frame_count == 5 and head.rows == 2 and head.cols == 4
     encs = list(reader)
     assert len(encs) == 5
@@ -129,7 +132,7 @@ def test_write_read_identity():
 def test_streaming_mode_reads_to_eof():
     scans = small_scans(4)
     raw = build_stream(scans, frame_count=None)
-    _, reader = read_stream(io.BytesIO(raw))
+    reader = StreamReader(io.BytesIO(raw))
     assert len(list(reader)) == 4
 
 
@@ -147,21 +150,27 @@ def test_declared_count_enforced_on_close():
 
 
 def test_reader_stops_at_declared_count():
-    scans = small_scans(3)
-    raw = build_stream(scans, frame_count=3) + b"trailing junk ignored"
-    _, reader = read_stream(io.BytesIO(raw))
-    assert len(list(reader)) == 3
+    raw = build_stream(small_scans(3), frame_count=3)
+    assert len(list(StreamReader(io.BytesIO(raw)))) == 3
+    # the declared count is where the stream ends: no byte may follow it
+    frames = raw[HEADER_SIZE:]
+    for tail in (b"trailing junk", b"\x00", frames):
+        reader = StreamReader(io.BytesIO(raw + tail))
+        for _ in range(3):
+            next(reader)
+        with pytest.raises(CorruptStreamError, match="after the last of 3"):
+            next(reader)
 
 
 def test_truncations_carry_frame_index():
     raw = build_stream(small_scans(3), frame_count=3)
     # inside frame 0's payload
-    _, reader = read_stream(io.BytesIO(raw[:HEADER_SIZE + 10]))
+    reader = StreamReader(io.BytesIO(raw[:HEADER_SIZE + 10]))
     with pytest.raises(TruncatedStreamError) as ei:
         next(reader)
     assert ei.value.frame_index == 0 and "frame 0" in str(ei.value)
     # a declared-count stream missing its last frame entirely
-    _, reader = read_stream(io.BytesIO(raw[:-4]))
+    reader = StreamReader(io.BytesIO(raw[:-4]))
     with pytest.raises(TruncatedStreamError) as ei:
         list(reader)
     assert ei.value.frame_index == 2
@@ -170,7 +179,7 @@ def test_truncations_carry_frame_index():
 def test_payload_corruption_detected_with_frame_index():
     raw = bytearray(build_stream(small_scans(3), frame_count=3))
     raw[-1] ^= 0x40                      # inside the last frame's payload
-    _, reader = read_stream(io.BytesIO(bytes(raw)))
+    reader = StreamReader(io.BytesIO(bytes(raw)))
     with pytest.raises(ChecksumMismatchError) as ei:
         list(reader)
     assert ei.value.frame_index == 2
@@ -185,7 +194,7 @@ def test_codec_error_wrapped_with_frame_index():
     payload = b"\xff" + record[1:]
     buf.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
     buf.write(payload)
-    _, reader = read_stream(io.BytesIO(buf.getvalue()))
+    reader = StreamReader(io.BytesIO(buf.getvalue()))
     with pytest.raises(CorruptStreamError) as ei:
         next(reader)
     assert ei.value.frame_index == 0
@@ -199,12 +208,13 @@ def test_oversized_mask_rejected_before_inflating():
     mask_block = (encode_uvarint(200 << 20) + bytes([bytecomp.DEFLATE])
                   + one_mib * 200 + co.flush())
     buf = io.BytesIO()
-    write_stream(buf, StreamHeader(ScanType.RANGE, 8, 16, frame_count=1),
-                 [EncodedScan(Mode.I, 0, mask_block, b"\x00")])  # no values
+    with StreamWriter(buf, StreamHeader(ScanType.RANGE, 8, 16,
+                                        frame_count=1)) as w:
+        w.write_frame(EncodedScan(Mode.I, 0, mask_block, b"\x00"))  # no values
     raw = buf.getvalue()
     tracemalloc.start()
     try:
-        _, reader = read_stream(io.BytesIO(raw))
+        reader = StreamReader(io.BytesIO(raw))
         with pytest.raises(CorruptStreamError) as ei:
             next(reader)
         peak = tracemalloc.get_traced_memory()[1]
@@ -223,7 +233,7 @@ def test_forged_frame_length_read_in_bounded_chunks(tmp_path):
     tracemalloc.start()
     try:
         with open(path, "rb") as f:
-            _, reader = read_stream(f)
+            reader = StreamReader(f)
             with pytest.raises(TruncatedStreamError) as ei:
                 next(reader)
         peak = tracemalloc.get_traced_memory()[1]
@@ -240,7 +250,8 @@ def test_sampled_byte_flips_always_detected():
         bad = bytearray(good)
         bad[pos] ^= 0x10
         try:
-            head, reader = read_stream(io.BytesIO(bytes(bad)))
+            reader = StreamReader(io.BytesIO(bytes(bad)))
+            head = reader.header
             encs = list(reader)
         except JiffyError:
             continue
@@ -257,13 +268,14 @@ def test_truncation_at_every_sampled_boundary():
     good = build_stream(small_scans(2), frame_count=2)
     for cut in range(0, len(good) - 1, 3):
         with pytest.raises(JiffyError):
-            _, reader = read_stream(io.BytesIO(good[:cut]))
-            list(reader)
+            list(StreamReader(io.BytesIO(good[:cut])))
 
 
 def test_empty_stream_roundtrip():
     head = StreamHeader(ScanType.RANGE, 2, 4, frame_count=0)
     buf = io.BytesIO()
-    assert write_stream(buf, head, []) == 0
-    got, reader = read_stream(io.BytesIO(buf.getvalue()))
-    assert got.frame_count == 0 and list(reader) == []
+    with StreamWriter(buf, head) as w:
+        pass
+    assert w.frames_written == 0
+    reader = StreamReader(io.BytesIO(buf.getvalue()))
+    assert reader.header.frame_count == 0 and list(reader) == []
