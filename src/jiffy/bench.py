@@ -261,10 +261,11 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     (frames * rows * cols).
     """
     frames = np.asarray(frames)
-    if frames.dtype.kind != "f":
-        raise ValueError("precision sweep needs float input frames")
+    if frames.dtype.kind != "f" or frames.ndim != 3 or not frames.size:
+        raise ValueError("precision sweep needs a non-empty "
+                         "(frames, rows, cols) float array")
     rows = []
-    samples = frames.shape[0] * frames.shape[1] * frames.shape[2]
+    samples = frames.size
     in_bytes = frames.nbytes
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)

@@ -6,6 +6,7 @@ verification or corruption failure.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -152,11 +153,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _spec_from_args(args) -> RawSequenceSpec:
-    return RawSequenceSpec(args.input, args.etype, *args.shape,
-                           _SCAN_TYPES[args.scan_type])
-
-
 def _qspec_from_args(args, spec: RawSequenceSpec) -> QuantizationSpec:
     width = (args.sample_width if spec.dtype.kind == "f"
              else spec.dtype.itemsize)
@@ -171,9 +167,9 @@ def _scan_from_raw(frame: np.ndarray, qspec: QuantizationSpec,
 
 
 def _load_scans(args):
-    spec = _spec_from_args(args)
+    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
     qspec = _qspec_from_args(args, spec)
-    scans = [_scan_from_raw(frame, qspec, spec.scan_type)
+    scans = [_scan_from_raw(frame, qspec, _SCAN_TYPES[args.scan_type])
              for frame in rawio.read_frames(spec)]
     if not scans:
         raise ValueError(f"{spec.path}: no frames")
@@ -201,14 +197,15 @@ def _decoded_scans(reader: StreamReader):
 
 
 def cmd_compress(args) -> int:
-    spec = _spec_from_args(args)
+    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
     qspec = _qspec_from_args(args, spec)
     mode = _MODES[args.mode]
     mask_codec = _MASK_CODECS[args.mask_codec]
     n = spec.count_frames()
     rows, cols = args.shape
-    header = StreamHeader(spec.scan_type, rows, cols, qspec.sample_width,
-                          qspec.precision_um, mask_codec, frame_count=n)
+    header = StreamHeader(_SCAN_TYPES[args.scan_type], rows, cols,
+                          qspec.sample_width, qspec.precision_um, mask_codec,
+                          frame_count=n)
 
     state = CodecState()
     p_scans = 0
@@ -217,7 +214,7 @@ def cmd_compress(args) -> int:
         writer = StreamWriter(sink, header)
         for frame in rawio.read_frames(spec):
             t0 = time.perf_counter()
-            scan = _scan_from_raw(frame, qspec, spec.scan_type)
+            scan = _scan_from_raw(frame, qspec, header.scan_type)
             enc = encode(scan, state, mode, mask_codec=mask_codec)
             t_encode += time.perf_counter() - t0
             writer.write_frame(enc)
@@ -240,22 +237,29 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     dtype = ELEMENT_TYPES[args.etype]
-    with open(args.input, "rb") as src, open(args.output, "wb") as dst:
-        reader = StreamReader(src)
-        h = reader.header
-        if dtype.kind != "f" and dtype.itemsize < h.sample_width:
-            raise ValueError(f"--etype {args.etype} narrower than the "
-                             f"stream's {h.sample_width}-byte samples")
-        qspec = QuantizationSpec(h.precision_um, h.sample_width)
-        n = 0
-        for scan in _decoded_scans(reader):
-            if dtype.kind == "f":
-                out = dequantize(scan, qspec)
-                out = np.nan_to_num(out, nan=0.0)   # raw dumps mark invalid as 0
-            else:
-                out = scan.samples
-            dst.write(np.ascontiguousarray(out, dtype=dtype).tobytes())
-            n += 1
+    created = not os.path.exists(args.output)
+    try:
+        with open(args.input, "rb") as src, open(args.output, "wb") as dst:
+            reader = StreamReader(src)
+            h = reader.header
+            if dtype.kind != "f" and dtype.itemsize < h.sample_width:
+                raise ValueError(f"--etype {args.etype} narrower than the "
+                                 f"stream's {h.sample_width}-byte samples")
+            qspec = QuantizationSpec(h.precision_um, h.sample_width)
+            n = 0
+            for scan in _decoded_scans(reader):
+                if dtype.kind == "f":
+                    out = dequantize(scan, qspec)
+                    # raw dumps mark invalid samples as 0
+                    out = np.nan_to_num(out, nan=0.0)
+                else:
+                    out = scan.samples
+                dst.write(np.ascontiguousarray(out, dtype=dtype).tobytes())
+                n += 1
+    except BaseException:           # leave no complete-looking output
+        if created and os.path.exists(args.output):
+            os.remove(args.output)
+        raise
     print(f"wrote {args.output}: {n} frames")
     return EXIT_OK
 
@@ -321,11 +325,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
+    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
     frames = rawio.read_all(spec)
     rows = benchmod.run_sweep(frames, args.precisions,
                               sample_width=args.sample_width,
-                              scan_type=spec.scan_type)
+                              scan_type=_SCAN_TYPES[args.scan_type])
     print(f"{'precision_um':>12s} {'bits/sample':>11s} {'ratio':>7s}")
     for r in rows:
         print(f"{r['precision_um']:12d} {r['bits_per_sample']:11.3f} "

@@ -29,7 +29,8 @@ high bits to the next word. The little-endian words, viewed as bytes and
 cut to ``ceil(blen*w/8)``, are the packed area, copied into the output as
 one contiguous row per block.
 
-Decoding walks the block headers in Python once per block: reference,
+Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
+both read. It walks the block headers in Python once per block: reference,
 width and exception count are read and range-checked, and each block's
 exception area is skipped, not decoded, by counting varint terminator bytes
 with ``bytes.count`` (a few C-level counts per block, whatever the number of
@@ -46,7 +47,7 @@ exceptions). Everything else is whole-array numpy work over the stream:
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -124,12 +125,10 @@ def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
 def zigzag_unwrap(codes: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_wrap`."""
     c = _as_u32(codes)
-    half = c >> np.uint32(1)
-    odd = (c & np.uint32(1)).astype(bool)
-    out = np.where(odd, np.uint32(0) - half, half)
-    if odd.any():
-        out = np.where(c == np.uint32(1), np.uint32(0x80000000), out)
-    return out.astype(np.uint32, copy=False)
+    odd = c & np.uint32(1)
+    # code 1 is the wrapped -2^31: its magnitude has the top bit set
+    half = (c >> np.uint32(1)) | ((c == 1) << np.uint32(31))
+    return (half ^ (np.uint32(0) - odd)) + odd
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ class PackedBlock:
     reference: int
     bit_width: int
     length: int
-    exceptions: list[tuple[int, int]] = field(default_factory=list)
+    exceptions: list[tuple[int, int]]
 
 
 def pfor_encode(values) -> bytes:
@@ -168,6 +167,36 @@ def pfor_decode(data) -> np.ndarray:
     Raises TruncatedStreamError / CorruptStreamError on malformed input;
     never returns partial output.
     """
+    return _pfor_parse(data)[0]
+
+
+def iter_blocks(data):
+    """Yield a :class:`PackedBlock` per block, read off the decoder's parse.
+
+    The whole stream is decoded first, so malformed input raises its
+    JiffyError before anything is yielded. An offset from its block's
+    reference is an exception exactly when it has bits above the block's
+    width (remainders are never zero), and those bits are its remainder.
+    """
+    values, refs, widths = _pfor_parse(data)
+    n = values.size
+    block = np.arange(n) // BLOCK_SIZE
+    rems = ((values - refs[block]).astype(np.uint64)
+            >> widths[block].astype(np.uint64))
+    at = np.flatnonzero(rems)
+    exc = list(zip((at % BLOCK_SIZE).tolist(), rems[at].tolist()))
+    first = np.searchsorted(block[at], np.arange(refs.size + 1)).tolist()
+    for k, (ref, width) in enumerate(zip(refs.tolist(), widths.tolist())):
+        yield PackedBlock(ref, width, min(BLOCK_SIZE, n - k * BLOCK_SIZE),
+                          exc[first[k]:first[k + 1]])
+
+
+# ---------------------------------------------------------------------------
+# internals
+
+
+def _pfor_parse(data):
+    """Decode a PFOR stream: (values, block references, block widths)."""
     buf = bytes(data)
     total = len(buf)
     n, pos = decode_uvarint(buf, 0)
@@ -231,8 +260,10 @@ def pfor_decode(data) -> np.ndarray:
             exc_ends.append(pos)
     if pos != total:
         raise CorruptStreamError("trailing bytes after final block")
+    refs = np.asarray(refs, dtype=np.uint32)
+    widths = np.asarray(widths, dtype=np.int64)
     if n == 0:
-        return np.empty(0, dtype=np.uint32)
+        return np.empty(0, dtype=np.uint32), refs, widths
     # Only the final block (the loop's last blen, width) can end mid-byte:
     # 128 * width bits is always whole bytes.
     bits = blen * width
@@ -242,45 +273,12 @@ def pfor_decode(data) -> np.ndarray:
     # Seven zero bytes of padding let every packed offset be read as one
     # little-endian 8-byte word.
     arr = np.frombuffer(buf + bytes(7), dtype=np.uint8)
-    widths_arr = np.asarray(widths, dtype=np.int64)
-    out = _unpack_blocks(arr, np.asarray(refs, dtype=np.uint32), widths_arr,
-                         np.asarray(offs, dtype=np.int64), n)
+    out = _unpack_blocks(arr, refs, widths, np.asarray(offs, dtype=np.int64), n)
     if exc_bases:
-        _patch_exceptions(arr, out, widths_arr, n,
+        _patch_exceptions(arr, out, widths, n,
                           *(np.asarray(a, dtype=np.int64) for a in
                             (exc_bases, exc_starts, exc_counts, exc_ends)))
-    return out
-
-
-def iter_blocks(data):
-    """Yield a :class:`PackedBlock` per block.
-
-    The stream is checked with :func:`pfor_decode` first, so malformed
-    input raises its JiffyError before anything is yielded.
-    """
-    buf = bytes(data)
-    pfor_decode(buf)
-    n, pos = decode_uvarint(buf, 0)
-    produced = 0
-    while produced < n:
-        blen = min(BLOCK_SIZE, n - produced)
-        ref, pos = decode_uvarint(buf, pos)
-        width = buf[pos]
-        pos += 1
-        exc_count, pos = decode_uvarint(buf, pos)
-        pos += (blen * width + 7) // 8
-        positions = buf[pos:pos + exc_count]
-        pos += exc_count
-        exc = []
-        for p in positions:
-            rem, pos = decode_uvarint(buf, pos)
-            exc.append((p, rem))
-        yield PackedBlock(ref, width, blen, exc)
-        produced += blen
-
-
-# ---------------------------------------------------------------------------
-# internals
+    return out, refs, widths
 
 
 def _as_u32(values) -> np.ndarray:

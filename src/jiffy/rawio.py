@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan import ScanType
-
 ELEMENT_TYPES = {
     "float32": np.dtype("<f4"),
     "uint32": np.dtype("<u4"),
@@ -27,7 +25,6 @@ class RawSequenceSpec:
     element_type: str
     rows: int
     cols: int
-    scan_type: ScanType = ScanType.RANGE
 
     def __post_init__(self):
         if self.element_type not in ELEMENT_TYPES:
@@ -35,7 +32,6 @@ class RawSequenceSpec:
                              f"{sorted(ELEMENT_TYPES)}, got {self.element_type!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
-        object.__setattr__(self, "scan_type", ScanType(self.scan_type))
 
     @property
     def dtype(self) -> np.dtype:

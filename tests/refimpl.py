@@ -105,6 +105,27 @@ def ref_pfor_decode(buf: bytes):
     return values
 
 
+def ref_iter_blocks(buf: bytes):
+    """Scalar walk of a well-formed PFOR stream: per block, (reference,
+    width, length, [(position, remainder), ...])."""
+    n, pos = ref_read_varint(buf, 0)
+    blocks = []
+    for base in range(0, n, BLOCK):
+        blen = min(BLOCK, n - base)
+        ref, pos = ref_read_varint(buf, pos)
+        w = buf[pos]
+        nexc, pos = ref_read_varint(buf, pos + 1)
+        pos += (blen * w + 7) // 8
+        positions = list(buf[pos:pos + nexc])
+        pos += nexc
+        exc = []
+        for p in positions:
+            rem, pos = ref_read_varint(buf, pos)
+            exc.append((p, rem))
+        blocks.append((ref, w, blen, exc))
+    return blocks
+
+
 class RefReject(Exception):
     """The strict reference decoder found its input invalid."""
 

@@ -126,9 +126,11 @@ def test_sweep_precision_halves_bits(tmp_path):
 
 
 def test_sweep_requires_float_frames():
-    seq = np.zeros((2, 4, 8), dtype=np.uint16)
-    with pytest.raises(ValueError):
-        run_sweep(seq, [1000])
+    for seq in (np.zeros((2, 4, 8), dtype=np.uint16),
+                np.ones((4, 8), dtype=np.float32),          # one frame, 2-D
+                np.empty((0, 4, 8), dtype=np.float32)):     # no frames
+        with pytest.raises(ValueError):
+            run_sweep(seq, [1000])
 
 
 def test_heuristic_perfect_on_easy_splits():

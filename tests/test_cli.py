@@ -129,13 +129,17 @@ def test_bytes_after_declared_frames_exit_2(tmp_path, corpus, capsys):
     junk.write_bytes(blob + b"garbage")
     twice.write_bytes(blob + blob[HEADER_SIZE:])      # every record again
     capsys.readouterr()
+    back = tmp_path / "back.f32"
     for bad in (junk, twice):
-        assert run("decompress", "--input", bad,
-                   "--output", tmp_path / "back.f32") == 2
+        assert run("decompress", "--input", bad, "--output", back) == 2
         assert "after the last of 4 declared frames" in capsys.readouterr().err
+        assert not back.exists()            # no complete-looking output left
         assert run("verify", "--input", corpus, "--shape", "16x64",
                    "--container", bad) == 2
         assert "after the last of 4 declared frames" in capsys.readouterr().err
+    back.write_bytes(b"kept")               # a path that was there stays
+    assert run("decompress", "--input", junk, "--output", back) == 2
+    assert back.exists()
 
 
 def test_compress_reports_container_size(tmp_path, corpus, capsys):
@@ -164,6 +168,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ragged.write_bytes(b"\x00" * 13)
     assert run("compress", "--input", ragged, "--shape", "4x4",
                "--output", tmp_path / "o.jfy") == 1
+    empty = tmp_path / "empty.f32"
+    empty.write_bytes(b"")
+    assert run("sweep", "--input", empty, "--shape", "4x8",
+               "--precisions", "1000") == 1
+    assert "non-empty" in capsys.readouterr().err
 
 
 def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):

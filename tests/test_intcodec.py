@@ -9,8 +9,8 @@ from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
                             zigzag_wrap)
 from jiffy.varint import encode_uvarint
 
-from .refimpl import (RefReject, ref_optimal_width, ref_pfor_decode,
-                      ref_pfor_decode_strict, ref_pfor_encode,
+from .refimpl import (RefReject, ref_iter_blocks, ref_optimal_width,
+                      ref_pfor_decode, ref_pfor_decode_strict, ref_pfor_encode,
                       ref_wrapped_pipeline_decode, ref_wrapped_pipeline_encode,
                       ref_zigzag)
 
@@ -88,6 +88,11 @@ def test_zigzag_wrap_min_int_lands_on_code_one():
     c = zigzag_wrap(np.array([0x80000000], dtype=np.uint32))
     assert c.tolist() == [1]
     assert zigzag_unwrap(c).tolist() == [0x80000000]
+    edges = [0, 2, 3, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
+    back = zigzag_unwrap(np.array(edges, dtype=np.uint32))
+    assert back.tolist() == [ref_wrapped_pipeline_decode([e])[0]
+                             for e in edges]
+    assert zigzag_wrap(back).tolist() == edges
 
 
 @given(st.lists(st.integers(min_value=-(1 << 30), max_value=(1 << 30)),
@@ -404,6 +409,17 @@ def test_pfor_nonzero_padding_rejected():
         pfor_decode(enc[:-1] + bytes([0b110]))
 
 
+def _block_tuples(enc):
+    return [(b.reference, b.bit_width, b.length, b.exceptions)
+            for b in iter_blocks(enc)]
+
+
+@given(spiky_arrays)
+def test_iter_blocks_matches_scalar_walk(v):
+    enc = pfor_encode(v)
+    assert _block_tuples(enc) == ref_iter_blocks(enc)
+
+
 def test_iter_blocks_raises_only_jiffy_error():
     enc, v = _valid_stream()
     assert sum(b.length for b in iter_blocks(enc)) == v.size
@@ -412,12 +428,20 @@ def test_iter_blocks_raises_only_jiffy_error():
     rng = np.random.default_rng(5)
     cases = [enc[:cut] for cut in range(len(enc))]
     cases += [_mutate(enc, rng) for _ in range(300)]
+    accepted = 0
     for bad in cases:
+        decodes = _lib_or_none(bad) is not None
         try:
-            blocks = list(iter_blocks(bad))
+            blocks = _block_tuples(bad)
         except JiffyError:
+            assert not decodes, bad.hex()
             continue
-        assert sum(b.length for b in blocks) == pfor_decode(bad).size
+        # accepted exactly when pfor_decode accepts, and read like the
+        # scalar walk reads it
+        assert decodes, bad.hex()
+        assert blocks == ref_iter_blocks(bad), bad.hex()
+        accepted += 1
+    assert accepted > 30
 
 
 def _strict_or_none(buf):

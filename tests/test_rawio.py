@@ -3,11 +3,10 @@ import pytest
 
 from jiffy.rawio import (ELEMENT_TYPES, RawSequenceSpec, read_all,
                          read_frames, write_frames)
-from jiffy.scan import ScanType
 
 
-def spec_for(tmp_path, name, etype, rows=4, cols=8, **kw):
-    return RawSequenceSpec(tmp_path / name, etype, rows, cols, **kw)
+def spec_for(tmp_path, name, etype, rows=4, cols=8):
+    return RawSequenceSpec(tmp_path / name, etype, rows, cols)
 
 
 @pytest.mark.parametrize("etype", sorted(ELEMENT_TYPES))
@@ -62,9 +61,3 @@ def test_little_endian_on_disk(tmp_path):
     write_frames(spec.path, np.array([[[0x0102, 0x0304]]], dtype=np.uint16),
                  "uint16")
     assert (tmp_path / "le.bin").read_bytes() == b"\x02\x01\x04\x03"
-
-
-def test_scan_type_carried(tmp_path):
-    spec = spec_for(tmp_path, "sig.bin", "uint16",
-                    scan_type=ScanType.SIGNAL)
-    assert spec.scan_type == ScanType.SIGNAL
