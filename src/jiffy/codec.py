@@ -26,7 +26,7 @@ from .bitmask import (compact, expand, extract_mask, pack_mask, unpack_mask,
                       xor_mask)
 from .errors import CorruptStreamError
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
-                       zigzag_unwrap, zigzag_wrap)
+                       pfor_size, zigzag_unwrap, zigzag_wrap)
 from .scan import Scan, ScanType, sample_dtype
 from .varint import decode_uvarint, encode_uvarint
 
@@ -134,10 +134,11 @@ def select_mode(scan: Scan, state: CodecState,
                 test_lines: int = TEST_LINES) -> Mode:
     """Pick I or P by trial-compressing a few scanlines.
 
-    Runs only the value pipeline (mask compression excluded) over
-    ``test_lines`` evenly spaced rows and keeps the cheaper mode, preferring
-    I on a tie. The first scan of a stream is always I; a scan shaped unlike
-    the previous one raises ValueError.
+    Sizes only the value pipeline (mask compression excluded) over
+    ``test_lines`` evenly spaced rows, with ``pfor_size`` rather than
+    packing, and keeps the cheaper mode, preferring I on a tie. The first
+    scan of a stream is always I; a scan shaped unlike the previous one
+    raises ValueError.
     """
     if test_lines < 1:
         raise ValueError("test_lines must be positive")
@@ -153,9 +154,9 @@ def select_mode(scan: Scan, state: CodecState,
 
     mask = extract_mask(cur_rows)
     cur = compact(cur_rows, mask)
-    i_bytes = len(pfor_encode(_forward(cur)))
+    i_bytes = pfor_size(_forward(cur))
     residuals = cur - compact(prev_rows, mask)
-    p_bytes = len(pfor_encode(_forward(residuals)))
+    p_bytes = pfor_size(_forward(residuals))
     return Mode.P if p_bytes < i_bytes else Mode.I
 
 

@@ -21,20 +21,30 @@ encoder evaluates all 33 candidate widths and keeps the cheapest total,
 breaking ties toward the smaller width, so the emitted size is the format's
 per-block optimum by construction.
 
-Encoding packs whole blocks per width with 64-bit words, the mirror of the
-decoder's word reads below: offset i, masked to its low w bits, is shifted
-left by ``i*w & 63`` and summed into word ``i*w >> 6`` (fields in a word are
-disjoint, so the sum is an OR); an offset crossing a word boundary adds its
-high bits to the next word. The little-endian words, viewed as bytes and
-cut to ``ceil(blen*w/8)``, are the packed area, copied into the output as
-one contiguous row per block.
+Encoding is two steps over uniform-length blocks (the full 128-value
+blocks together, then the shorter last block): a cost step that finds each
+block's reference, offsets, the 33-width cost matrix and the cheapest width
+and size, and a write step that lays the bytes out. :func:`pfor_size` runs
+the cost step alone and sums the sizes, so it equals
+``len(pfor_encode(values))`` without packing anything; the I/P mode trial
+sizes its test lines with it.
+
+The write step packs whole blocks per width with 64-bit words, the mirror
+of the decoder's word reads below: offset i, masked to its low w bits, is
+shifted left by ``i*w & 63`` and summed into word ``i*w >> 6`` (fields in a
+word are disjoint, so the sum is an OR); an offset crossing a word boundary
+adds its high bits to the next word. The little-endian words, viewed as
+bytes and cut to ``ceil(blen*w/8)``, are the packed area, copied into the
+output as one contiguous row per block.
 
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
-both read. It walks the block headers in Python once per block: reference,
-width and exception count are read and range-checked, and each block's
-exception area is skipped, not decoded, by counting varint terminator bytes
-with ``bytes.count`` (a few C-level counts per block, whatever the number of
-exceptions). Everything else is whole-array numpy work over the stream:
+both read (the exceptions it patches in are also the ones
+:func:`iter_blocks` reports). It walks the block headers in Python once per
+block: reference, width and exception count are read and range-checked, and
+each block's exception area is skipped, not decoded, by counting varint
+terminator bytes with ``bytes.count`` (a few C-level counts per block,
+whatever the number of exceptions). Everything else is whole-array numpy
+work over the stream:
 
 * all exception positions are gathered at once and checked (below the
   block length, strictly increasing within the block);
@@ -48,6 +58,7 @@ exceptions). Everything else is whole-array numpy work over the stream:
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -148,17 +159,16 @@ class PackedBlock:
 def pfor_encode(values) -> bytes:
     """Pack unsigned 32-bit integers into the PFOR block format."""
     v = _as_u32(values)
-    n = v.size
-    out = [encode_uvarint(n)]
-    if n == 0:
-        return out[0]
-    nfull = n // BLOCK_SIZE
-    if nfull:
-        out.append(_encode_blocks(v[:nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE)))
-    tail = n - nfull * BLOCK_SIZE
-    if tail:
-        out.append(_encode_blocks(v[n - tail:].reshape(1, tail)))
-    return b"".join(out)
+    return b"".join([encode_uvarint(v.size),
+                     *(_write_blocks(_block_costs(b)) for b in _blocks(v))])
+
+
+def pfor_size(values) -> int:
+    """``len(pfor_encode(values))``, from the encoder's cost step alone:
+    nothing is packed and no varint is written."""
+    v = _as_u32(values)
+    return len(encode_uvarint(v.size)) + sum(
+        int(_block_costs(b).sizes.sum()) for b in _blocks(v))
 
 
 def pfor_decode(data) -> np.ndarray:
@@ -174,18 +184,14 @@ def iter_blocks(data):
     """Yield a :class:`PackedBlock` per block, read off the decoder's parse.
 
     The whole stream is decoded first, so malformed input raises its
-    JiffyError before anything is yielded. An offset from its block's
-    reference is an exception exactly when it has bits above the block's
-    width (remainders are never zero), and those bits are its remainder.
+    JiffyError before anything is yielded. The exceptions are the ones the
+    parse patched in: their value indices and remainders.
     """
-    values, refs, widths = _pfor_parse(data)
+    values, refs, widths, at, rems = _pfor_parse(data)
     n = values.size
-    block = np.arange(n) // BLOCK_SIZE
-    rems = ((values - refs[block]).astype(np.uint64)
-            >> widths[block].astype(np.uint64))
-    at = np.flatnonzero(rems)
-    exc = list(zip((at % BLOCK_SIZE).tolist(), rems[at].tolist()))
-    first = np.searchsorted(block[at], np.arange(refs.size + 1)).tolist()
+    exc = list(zip((at % BLOCK_SIZE).tolist(), rems.tolist()))
+    # indices rise through the stream, so each block's exceptions are a run
+    first = np.searchsorted(at, np.arange(refs.size + 1) * BLOCK_SIZE).tolist()
     for k, (ref, width) in enumerate(zip(refs.tolist(), widths.tolist())):
         yield PackedBlock(ref, width, min(BLOCK_SIZE, n - k * BLOCK_SIZE),
                           exc[first[k]:first[k + 1]])
@@ -196,7 +202,8 @@ def iter_blocks(data):
 
 
 def _pfor_parse(data):
-    """Decode a PFOR stream: (values, block references, block widths)."""
+    """Decode a PFOR stream: (values, block references, block widths,
+    exception value indices, exception remainders)."""
     buf = bytes(data)
     total = len(buf)
     n, pos = decode_uvarint(buf, 0)
@@ -262,8 +269,10 @@ def _pfor_parse(data):
         raise CorruptStreamError("trailing bytes after final block")
     refs = np.asarray(refs, dtype=np.uint32)
     widths = np.asarray(widths, dtype=np.int64)
+    exc_idx = np.empty(0, dtype=np.int64)
+    exc_rems = np.empty(0, dtype=np.uint64)
     if n == 0:
-        return np.empty(0, dtype=np.uint32), refs, widths
+        return np.empty(0, dtype=np.uint32), refs, widths, exc_idx, exc_rems
     # Only the final block (the loop's last blen, width) can end mid-byte:
     # 128 * width bits is always whole bytes.
     bits = blen * width
@@ -275,10 +284,11 @@ def _pfor_parse(data):
     arr = np.frombuffer(buf + bytes(7), dtype=np.uint8)
     out = _unpack_blocks(arr, refs, widths, np.asarray(offs, dtype=np.int64), n)
     if exc_bases:
-        _patch_exceptions(arr, out, widths, n,
-                          *(np.asarray(a, dtype=np.int64) for a in
-                            (exc_bases, exc_starts, exc_counts, exc_ends)))
-    return out, refs, widths
+        exc_idx, exc_rems = _patch_exceptions(
+            arr, out, widths, n,
+            *(np.asarray(a, dtype=np.int64) for a in
+              (exc_bases, exc_starts, exc_counts, exc_ends)))
+    return out, refs, widths, exc_idx, exc_rems
 
 
 def _as_u32(values) -> np.ndarray:
@@ -339,8 +349,33 @@ def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
     return words.view(np.uint8)[:, :(blen * width + 7) // 8]
 
 
-def _encode_blocks(v: np.ndarray) -> bytes:
-    """Encode uniform-length blocks. v: (nblk, blen) uint32, blen <= 128."""
+def _blocks(v: np.ndarray) -> list:
+    """The values as uniform-length blocks: the (nfull, 128) full blocks,
+    then the (1, tail) last block, each only when it has values."""
+    split = v.size - v.size % BLOCK_SIZE
+    return [b for b in (v[:split].reshape(-1, BLOCK_SIZE),
+                        v[split:].reshape(1, -1)) if b.size]
+
+
+class _BlockCosts(NamedTuple):
+    """The cost step's view of (nblk, blen) uniform-length blocks."""
+
+    refs: np.ndarray        # (nblk,) block minima
+    off: np.ndarray         # (nblk, blen) offsets from the minimum
+    bitlen: np.ndarray      # (nblk, blen) offset bit lengths
+    ref_vlen: np.ndarray    # (nblk,) reference varint bytes
+    exc: np.ndarray         # (nblk, 33) exceptions at each width
+    exc_vlen: np.ndarray    # (nblk, 33) exception count varint bytes
+    payload_bytes: np.ndarray   # (33,) packed-area bytes at each width
+    widths: np.ndarray      # (nblk,) cheapest width, ties to the smaller
+    sizes: np.ndarray       # (nblk,) encoded block bytes at that width
+
+
+def _block_costs(v: np.ndarray) -> _BlockCosts:
+    """Cost every block at all 33 widths and keep the cheapest.
+
+    v: (nblk, blen) uint32, blen <= 128.
+    """
     nblk, blen = v.shape
     refs = v.min(axis=1)
     off = v - refs[:, None]
@@ -363,36 +398,42 @@ def _encode_blocks(v: np.ndarray) -> bytes:
     cost = (ref_vlen[:, None] + 1 + exc_vlen + payload_bytes[None, :]
             + exc + rem_bytes)
     bw = cost.argmin(axis=1)                                      # ties -> smaller width
-    rows = np.arange(nblk)
-    sizes = cost[rows, bw]
+    return _BlockCosts(refs, off, bitlen, ref_vlen, exc, exc_vlen,
+                       payload_bytes, bw, cost[np.arange(nblk), bw])
 
+
+def _write_blocks(c: _BlockCosts) -> bytes:
+    """Write the blocks :func:`_block_costs` sized, each at its width."""
+    bw = c.widths
+    nblk = bw.size
+    rows = np.arange(nblk)
     starts = np.zeros(nblk + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
+    np.cumsum(c.sizes, out=starts[1:])
     buf = np.zeros(int(starts[-1]), dtype=np.uint8)
 
-    pos = write_uvarints(buf, starts[:-1], refs, ref_vlen)
+    pos = write_uvarints(buf, starts[:-1], c.refs, c.ref_vlen)
     buf[pos] = bw
     pos += 1
-    exc_counts = exc[rows, bw]
+    exc_counts = c.exc[rows, bw]
     pos = write_uvarints(buf, pos, exc_counts.astype(np.uint64),
-                         exc_vlen[rows, bw])
+                         c.exc_vlen[rows, bw])
 
     for width in np.unique(bw):
         if width == 0:
             continue
         sel = np.nonzero(bw == width)[0]
-        packed = _pack_bits(off[sel], int(width))
+        packed = _pack_bits(c.off[sel], int(width))
         # rows_at[p] is the row of bytes at p: one contiguous copy per block.
         # The packed areas are disjoint, so no byte is written twice.
         nb = packed.shape[1]
         rows_at = as_strided(buf, (buf.size - nb + 1, nb), (1, 1))
         rows_at[pos[sel]] = packed
-    exc_start = pos + payload_bytes[bw]
+    exc_start = pos + c.payload_bytes[bw]
 
     total_exc = int(exc_counts.sum())
     if total_exc:
-        eblk, epos = np.nonzero(bitlen > bw[:, None])
-        evals = off[eblk, epos] >> bw[eblk].astype(np.uint32)
+        eblk, epos = np.nonzero(c.bitlen > bw[:, None])
+        evals = c.off[eblk, epos] >> bw[eblk].astype(np.uint32)
         evlen = uvarint_len_array(evals)
         block_first = np.zeros(nblk + 1, dtype=np.int64)
         np.cumsum(exc_counts, out=block_first[1:])
@@ -451,7 +492,8 @@ def _unpack_width(words: np.ndarray, offs, width: int, blen: int, refs):
 
 def _patch_exceptions(arr: np.ndarray, out: np.ndarray, widths, n: int,
                       bases, starts, counts, ends):
-    """Check and apply every exception of the stream in one pass.
+    """Check and apply every exception of the stream in one pass; returns
+    their value indices (increasing) and remainders.
 
     One entry per block with exceptions: the index of its first value,
     where its position bytes start, how many there are, and where its
@@ -487,6 +529,7 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, widths, n: int,
     if patched.max() > _U32_MAX:
         raise CorruptStreamError("patched value overflows uint32")
     out[idx] = patched
+    return idx, rems
 
 
 def _apply_reference(vals: np.ndarray, refs: np.ndarray, width: int):

@@ -45,6 +45,9 @@ def generate(kind: str, frames: int, rows: int = 128, cols: int = 1024,
         sparsity = _DEFAULT_SPARSITY[kind]
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must be in [0, 1]")
+    if not 0.0 <= noise_mm < np.inf:
+        raise ValueError(f"noise_mm must be finite and nonnegative, "
+                         f"got {noise_mm}")
     rng = np.random.default_rng(seed)
     noise_m = noise_mm * 1e-3
     if kind == "random":

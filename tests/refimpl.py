@@ -233,3 +233,28 @@ def ref_wrapped_pipeline_decode(codes):
         prev = (prev + d) & U32
         out.append(prev)
     return out
+
+
+def ref_select_mode(cur, prev, test_lines: int = 4) -> int:
+    """The I/P mode trial, sized by packing: 1 (P) or 0 (I).
+
+    ``cur`` and ``prev`` are row lists of samples (``prev`` None for the
+    first scan). Over ``test_lines`` evenly spaced rows, the nonzero
+    samples of ``cur`` (row-major) and their uint32 residuals against
+    ``prev`` go through delta, ZigZag and PFOR; P wins only when its packed
+    stream is strictly shorter.
+    """
+    if prev is None:
+        return 0
+    rows = len(cur)
+    nlines = min(test_lines, rows)
+    i_vals, p_vals = [], []
+    for k in range(nlines):
+        r = k * rows // nlines
+        for c, p in zip(cur[r], prev[r]):
+            if c:
+                i_vals.append(int(c))
+                p_vals.append((int(c) - int(p)) & U32)
+    i_bytes = len(ref_pfor_encode(ref_wrapped_pipeline_encode(i_vals)))
+    p_bytes = len(ref_pfor_encode(ref_wrapped_pipeline_encode(p_vals)))
+    return 1 if p_bytes < i_bytes else 0

@@ -173,6 +173,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("sweep", "--input", empty, "--shape", "4x8",
                "--precisions", "1000") == 1
     assert "non-empty" in capsys.readouterr().err
+    for noise in ("nan", "-5"):
+        assert run("gen", "--kind", "static_scene", "--frames", "1",
+                   "--shape", "4x8", "--noise-mm", noise,
+                   "--output", tmp_path / "g.f32") == 1
+        assert "noise_mm" in capsys.readouterr().err
+    assert not (tmp_path / "g.f32").exists()
 
 
 def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):

@@ -14,6 +14,8 @@ from jiffy.intcodec import delta_wrap, pfor_decode, pfor_encode, zigzag_wrap
 from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
 from jiffy.synthetic import generate
 
+from .refimpl import ref_select_mode
+
 
 def mkscan(samples, width=2, stype=ScanType.RANGE):
     return Scan(stype, width, np.asarray(samples))
@@ -358,6 +360,37 @@ def test_test_lines_must_be_positive():
     encode(mkscan(GOLDEN_SCAN), state)
     with pytest.raises(ValueError, match="test_lines"):
         select_mode(mkscan(GOLDEN_SCAN), state, 0)
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_select_mode_matches_trial_oracle(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 48))
+    width = int(rng.choice([1, 2, 4]))
+    prev = rand_scan(rng, rows, cols, width, float(rng.random()))
+    if rng.random() < 0.5:          # a near copy, where P can win
+        hi = (1 << (8 * width)) - 1
+        step = rng.integers(-2, 3, (rows, cols))
+        cur = np.clip(prev.samples + step, 0, hi).astype(np.uint32)
+    else:
+        cur = rand_scan(rng, rows, cols, width, float(rng.random())).samples
+    cur[rng.random(rows) < 0.3] = 0     # rows with no return at all
+    lines = int(rng.integers(1, 7))
+    state = CodecState()
+    encode(prev, state)
+    got = select_mode(Scan(ScanType.RANGE, width, cur), state, lines)
+    assert got == ref_select_mode(cur.tolist(), prev.samples.tolist(), lines)
+
+
+def test_select_mode_on_zero_trial_rows_ties_to_i():
+    # every trial row empty: both trial vectors are empty, sizes tie
+    state = CodecState()
+    encode(mkscan(np.full((8, 16), 900, dtype=np.uint16)), state)
+    cur = np.full((8, 16), 900, dtype=np.uint16)
+    cur[::2] = 0
+    assert ref_select_mode(cur.tolist(), state.samples.tolist()) == Mode.I
+    assert select_mode(mkscan(cur), state) == Mode.I
 
 
 @given(st.integers(0, 2_000))

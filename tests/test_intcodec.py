@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
 from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
-                            iter_blocks, pfor_decode, pfor_encode,
+                            iter_blocks, pfor_decode, pfor_encode, pfor_size,
                             zigzag_decode, zigzag_encode, zigzag_unwrap,
                             zigzag_wrap)
 from jiffy.varint import encode_uvarint
@@ -187,6 +187,39 @@ def test_pfor_blocks_are_optimal(v):
         chunk = v[start:start + b.length].tolist()
         assert b.bit_width == ref_optimal_width(chunk)
         start += b.length
+
+
+@given(st.one_of(u32_arrays, spiky_arrays))
+@settings(max_examples=200)
+def test_pfor_size_is_encoded_length(v):
+    assert pfor_size(v) == len(pfor_encode(v))
+
+
+def _one_block(values, width=None, ref_bytes=None):
+    """values as uint32, checked to form one block of the stated kind."""
+    v = np.array(values, dtype=np.uint32)
+    b = next(iter_blocks(pfor_encode(v)))
+    if width is not None:
+        assert b.bit_width == width
+    if ref_bytes is not None:
+        assert len(encode_uvarint(b.reference)) == ref_bytes
+    return v
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.array([], dtype=np.uint32),
+    *[(lambda n=n: (np.arange(n, dtype=np.uint32) * 2654435761) % 997)
+      for n in (127, 128, 129, 256, 300)],
+    lambda: _one_block([7] * 128, width=0),
+    lambda: _one_block(np.random.default_rng(1).integers(0, 1 << 32, 128),
+                       width=32),
+    lambda: _one_block(np.arange(128) + (1 << 31), ref_bytes=5),
+], ids=["empty", "n127", "n128", "n129", "n256", "n300", "width0", "width32",
+        "ref5"])
+def test_pfor_size_fixed_cases(make):
+    v = make()
+    size = pfor_size(v)
+    assert size == len(pfor_encode(v)) == len(ref_pfor_encode(v.tolist()))
 
 
 def test_pfor_rejects_wrong_dtype():

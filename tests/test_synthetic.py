@@ -80,3 +80,10 @@ def test_rejects_bad_arguments():
         generate("random", 0)
     with pytest.raises(ValueError):
         generate("random", 1, sparsity=1.5)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("noise_mm", [float("nan"), float("inf"), -5.0])
+def test_rejects_bad_noise(kind, noise_mm):
+    with pytest.raises(ValueError, match="noise_mm"):
+        generate(kind, 1, 4, 8, noise_mm=noise_mm)
