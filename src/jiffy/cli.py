@@ -6,7 +6,10 @@ verification or corruption failure.
 """
 
 import argparse
+import contextlib
 import os
+import secrets
+import shutil
 import sys
 import time
 
@@ -235,31 +238,59 @@ def cmd_compress(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Open ``path`` for binary writing so that a failure leaves it as it was.
+
+    The bytes go to a new file beside ``path`` (beside a symlink's target),
+    renamed over it only when the block completes. A path that exists and is
+    not a regular file, such as /dev/null or a pipe, is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            yield f
+        return
+    path = os.path.realpath(path)
+    head, tail = os.path.split(path)
+    while True:
+        tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+        try:
+            # 0o666 under the umask: the mode a plain open() would give
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with os.fdopen(fd, "wb") as f:
+            yield f
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def cmd_decompress(args) -> int:
     dtype = ELEMENT_TYPES[args.etype]
-    created = not os.path.exists(args.output)
-    try:
-        with open(args.input, "rb") as src, open(args.output, "wb") as dst:
-            reader = StreamReader(src)
-            h = reader.header
-            if dtype.kind != "f" and dtype.itemsize < h.sample_width:
-                raise ValueError(f"--etype {args.etype} narrower than the "
-                                 f"stream's {h.sample_width}-byte samples")
-            qspec = QuantizationSpec(h.precision_um, h.sample_width)
-            n = 0
+    with open(args.input, "rb") as src:
+        reader = StreamReader(src)
+        h = reader.header
+        if dtype.kind != "f" and dtype.itemsize < h.sample_width:
+            raise ValueError(f"--etype {args.etype} narrower than the "
+                             f"stream's {h.sample_width}-byte samples")
+        qspec = QuantizationSpec(h.precision_um, h.sample_width)
+        n = 0
+        with _replacing(args.output) as dst:
             for scan in _decoded_scans(reader):
                 if dtype.kind == "f":
-                    out = dequantize(scan, qspec)
-                    # raw dumps mark invalid samples as 0
-                    out = np.nan_to_num(out, nan=0.0)
+                    # raw dumps mark invalid samples as 0; every other
+                    # value is >= 0, so fmax changes only the NaN sentinels
+                    out = np.fmax(dequantize(scan, qspec), 0.0, dtype=dtype)
                 else:
-                    out = scan.samples
-                dst.write(np.ascontiguousarray(out, dtype=dtype).tobytes())
+                    out = np.ascontiguousarray(scan.samples, dtype=dtype)
+                dst.write(out)
                 n += 1
-    except BaseException:           # leave no complete-looking output
-        if created and os.path.exists(args.output):
-            os.remove(args.output)
-        raise
     print(f"wrote {args.output}: {n} frames")
     return EXIT_OK
 

@@ -143,21 +143,27 @@ def quantize(raw: np.ndarray, spec: QuantizationSpec,
     Range types scale meters by 1e6/precision_um and round ties-to-even, so
     the roundtrip error stays within half a step either way. NaN, infinities
     and negatives collapse to the 0 sentinel; values past the width ceiling
-    clamp to the maximum instead of wrapping. Attribute types skip the
-    precision scaling (readings are already integers) but get the same
-    rounding, clamping and nonfinite handling.
+    clamp to the maximum instead of wrapping. A finite value too large to
+    scale in float64 (say 1e308 m at 1 mm) becomes +inf and so the 0
+    sentinel, without a warning. Attribute types skip the precision scaling
+    (readings are already integers) but get the same rounding, clamping and
+    nonfinite handling.
     """
     scan_type = ScanType(scan_type)
-    a = np.asarray(raw, dtype=np.float64)
+    a = np.asarray(raw)
+    if a.dtype.kind not in "biuf":     # objects, strings: convert as floats
+        a = np.asarray(raw, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("raw must be a nonempty 2D array")
-    if scan_type.is_range:
-        scaled = a * (1e6 / spec.precision_um)
-    else:
-        scaled = a
-    q = np.round(scaled)
-    q = np.where(np.isfinite(q), q, 0.0)
-    q = np.clip(q, 0.0, float(spec.max_sample))
+    scale = 1e6 / spec.precision_um if scan_type.is_range else 1.0
+    # one float64 pass, then in place: round, send NaN and -inf/negatives to
+    # 0, send +inf to 0 as well, clamp the rest to the width
+    with np.errstate(over="ignore"):
+        q = np.multiply(a, scale, dtype=np.float64)
+    np.rint(q, out=q)
+    np.fmax(q, 0.0, out=q)
+    np.putmask(q, q == np.inf, 0.0)
+    np.minimum(q, float(spec.max_sample), out=q)
     return Scan(scan_type, spec.sample_width,
                 q.astype(sample_dtype(spec.sample_width)))
 
@@ -172,8 +178,11 @@ def dequantize(scan: Scan, spec: QuantizationSpec) -> np.ndarray:
         raise ValueError("scan and spec sample widths differ")
     if not scan.scan_type.is_range:
         return scan.samples.astype(np.float64)
-    out = scan.samples.astype(np.float64) * spec.precision_m
-    out[scan.samples == 0] = np.nan
+    out = np.multiply(scan.samples, spec.precision_m, dtype=np.float64)
+    # a zero sample gives 0.0 here, and 0.0 / False is NaN: this places the
+    # sentinel without indexing the scattered zeros
+    with np.errstate(invalid="ignore"):
+        np.divide(out, scan.samples != 0, out=out)
     return out
 
 

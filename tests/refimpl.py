@@ -1,9 +1,13 @@
 """Independent scalar reference implementations used as test oracles.
 
-Everything here is written directly from the wire format description in
+The codec oracles are written directly from the wire format description in
 FORMAT.md, pure Python, no numpy, no sharing of code with the library.
-Deliberately slow and obvious.
+Deliberately slow and obvious. The two scan oracles at the end keep the
+library's earlier numpy formulas for ``quantize`` and ``dequantize``, one
+whole-array step at a time, as the definition the fused versions must match.
 """
+
+import numpy as np
 
 BLOCK = 128
 U32 = 0xFFFFFFFF
@@ -258,3 +262,26 @@ def ref_select_mode(cur, prev, test_lines: int = 4) -> int:
     i_bytes = len(ref_pfor_encode(ref_wrapped_pipeline_encode(i_vals)))
     p_bytes = len(ref_pfor_encode(ref_wrapped_pipeline_encode(p_vals)))
     return 1 if p_bytes < i_bytes else 0
+
+
+def ref_quantize(raw, precision_um: int, sample_width: int,
+                 is_range: bool = True) -> np.ndarray:
+    """Float measurements to samples: scale (range types only), round
+    ties-to-even, nonfinite to 0, clip to [0, max sample], cast."""
+    a = np.asarray(raw, dtype=np.float64)
+    scaled = a * (1e6 / precision_um) if is_range else a
+    q = np.round(scaled)
+    q = np.where(np.isfinite(q), q, 0.0)
+    q = np.clip(q, 0.0, float((1 << (8 * sample_width)) - 1))
+    return q.astype(f"<u{sample_width}")
+
+
+def ref_dequantize(samples, precision_um: int, is_range: bool = True):
+    """Samples to float64: range samples times the step in meters with NaN
+    at the 0 sentinel; attribute samples cast unchanged."""
+    samples = np.asarray(samples)
+    if not is_range:
+        return samples.astype(np.float64)
+    out = samples.astype(np.float64) * (precision_um * 1e-6)
+    out[samples == 0] = np.nan
+    return out

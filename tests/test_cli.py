@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ from jiffy.codec import EncodedScan
 from jiffy.container import HEADER_SIZE, StreamReader, StreamWriter
 from jiffy.rawio import RawSequenceSpec, read_all
 from jiffy.synthetic import generate
+
+from .refimpl import ref_dequantize, ref_quantize
 
 
 def run(*argv):
@@ -69,6 +72,49 @@ def test_decompress_to_quantized_integers(tmp_path, corpus):
     assert q.shape == (4, 16, 64)
     live = raw > 0
     assert np.all(np.abs(q[live] - raw[live] * 1000) <= 0.5 + 1e-3)
+
+
+@pytest.mark.parametrize("scan_type", ["range", "signal"])
+def test_decompress_output_bytes(tmp_path, corpus, scan_type):
+    # float32 output is the dequantized frame with NaN written as 0; integer
+    # output is the samples, widened exactly to a wider element type
+    raw = read_all(RawSequenceSpec(corpus, "float32", 16, 64))
+    is_range = scan_type == "range"
+    samples = ref_quantize(raw, 1000, 2, is_range)
+    assert (samples == 0).any()
+    jfy = tmp_path / "seq.jfy"
+    assert run("compress", "--input", corpus, "--shape", "16x64",
+               "--scan-type", scan_type, "--output", jfy) == 0
+    floats = np.nan_to_num(ref_dequantize(samples, 1000, is_range), nan=0.0)
+    expect = {"float32": floats.astype("<f4"), "uint16": samples,
+              "uint32": samples.astype("<u4")}
+    for etype, want in expect.items():
+        out = tmp_path / f"back.{etype}"
+        assert run("decompress", "--input", jfy, "--etype", etype,
+                   "--output", out) == 0
+        assert out.read_bytes() == want.tobytes()
+
+
+def test_failed_decompress_keeps_existing_output(tmp_path, corpus, capsys):
+    jfy, bad = tmp_path / "seq.jfy", tmp_path / "bad.jfy"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    bad.write_bytes(jfy.read_bytes() + b"\0")     # corrupt after frame 3
+    out = tmp_path / "out.f32"
+    out.write_bytes(b"old contents")
+    before = sorted(os.listdir(tmp_path))
+    assert run("decompress", "--input", bad, "--output", out) == 2
+    assert out.read_bytes() == b"old contents"
+    assert sorted(os.listdir(tmp_path)) == before    # no temporary left
+
+    link = tmp_path / "link.f32"                     # replaced through a link
+    link.symlink_to(out)
+    assert run("decompress", "--input", jfy, "--output", link) == 0
+    assert link.is_symlink() and out.stat().st_size == 4 * 16 * 64 * 4
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ["link.f32"])
+    # a path that is not a regular file is written directly
+    assert run("decompress", "--input", jfy, "--output", os.devnull) == 0
+    assert os.path.exists(os.devnull)
+    capsys.readouterr()
 
 
 def test_verify_detects_mismatched_input(tmp_path, corpus, capsys):
@@ -139,7 +185,7 @@ def test_bytes_after_declared_frames_exit_2(tmp_path, corpus, capsys):
         assert "after the last of 4 declared frames" in capsys.readouterr().err
     back.write_bytes(b"kept")               # a path that was there stays
     assert run("decompress", "--input", junk, "--output", back) == 2
-    assert back.exists()
+    assert back.read_bytes() == b"kept"
 
 
 def test_compress_reports_container_size(tmp_path, corpus, capsys):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jiffy.scan import (BeamLayout, QuantizationSpec, Scan, ScanType,
                         canonicalize, dequantize, quantize, sample_dtype)
+
+from .refimpl import ref_dequantize, ref_quantize
 
 MM = QuantizationSpec(precision_um=1000, sample_width=2)
 
@@ -79,6 +83,86 @@ def test_attribute_clamps_to_width():
     spec = QuantizationSpec(sample_width=1)
     scan = quantize(raw, spec, ScanType.REFLECTIVITY)
     assert scan.samples.tolist() == [[255, 0, 0]]
+
+
+_FLOAT_DTYPES = ("<f2", "<f4", "<f8")
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8", "<u1", "<u2", "<u4", "<u8")
+_SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, -1e308, 1e308,
+             5e-324, 0.5, 1.5, 2.5)
+
+
+@st.composite
+def _quantize_cases(draw):
+    """A raw frame, its spec and scan type, with the values that matter:
+    nonfinite, negative, -0.0, half-step ties, values past the width and
+    finite values that overflow float64 once scaled."""
+    scan_type = draw(st.sampled_from(list(ScanType)))
+    spec = QuantizationSpec(draw(st.sampled_from([1, 7, 500, 1000, 123457])),
+                            draw(st.sampled_from([1, 2, 4])))
+    step = spec.precision_um * 1e-6 if scan_type.is_range else 1.0
+    dtype = np.dtype(draw(st.sampled_from(_FLOAT_DTYPES + _INT_DTYPES)))
+    n = draw(st.integers(1, 24))
+    if dtype.kind == "f":
+        k = st.integers(-2, spec.max_sample + 2)
+        value = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from(_SPECIALS),
+                          k.map(lambda k: (k + 0.5) * step),
+                          k.map(lambda k: k * step))
+        values = draw(st.lists(value, min_size=n, max_size=n))
+        with np.errstate(over="ignore"):
+            flat = np.array(values, dtype=np.float64).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        value = st.one_of(st.integers(int(info.min), int(info.max)),
+                          st.integers(0, spec.max_sample + 2),
+                          st.integers(-2, 2))
+        values = draw(st.lists(value, min_size=n, max_size=n))
+        flat = np.array([min(max(v, int(info.min)), int(info.max))
+                         for v in values], dtype=dtype)
+    rows = draw(st.sampled_from([d for d in (1, 2, 3, 4) if n % d == 0]))
+    return flat.reshape(rows, n // rows), spec, scan_type
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quantize_cases())
+def test_quantize_matches_oracle(case):
+    raw, spec, scan_type = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quantize(raw, spec, scan_type)
+    with np.errstate(over="ignore"):
+        want = ref_quantize(raw, spec.precision_um, spec.sample_width,
+                            scan_type.is_range)
+    assert got.samples.dtype == want.dtype
+    assert np.array_equal(got.samples, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(ScanType)), st.sampled_from([1, 2, 4]),
+       st.sampled_from([1, 7, 500, 1000, 123457]),
+       st.lists(st.one_of(st.just(0), st.integers(0, 1 << 32)), min_size=1,
+                max_size=24),
+       st.sampled_from([1, 2, 3, 4]))
+def test_dequantize_matches_oracle(scan_type, width, precision_um, values,
+                                   rows):
+    spec = QuantizationSpec(precision_um, width)
+    top = spec.max_sample
+    flat = np.array([min(v, top) for v in values], dtype=sample_dtype(width))
+    rows = rows if flat.size % rows == 0 else 1
+    samples = flat.reshape(rows, -1)
+    got = dequantize(Scan(scan_type, width, samples), spec)
+    want = ref_dequantize(samples, precision_um, scan_type.is_range)
+    assert got.dtype == np.float64
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_quantize_overflowing_scale_is_silent_sentinel():
+    raw = np.array([[1e308, -1e308, np.finfo(np.float64).max, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = quantize(raw, MM)
+    assert scan.samples.tolist() == [[0, 0, 0, 2000]]
 
 
 def test_quantize_rejects_bad_input():
