@@ -96,16 +96,21 @@ def _quantize_cases(draw):
     """A raw frame, its spec and scan type, with the values that matter:
     nonfinite, negative, -0.0, half-step ties, values past the width and
     finite values that overflow float64 once scaled."""
-    scan_type = draw(st.sampled_from(list(ScanType)))
+    is_range = draw(st.booleans())
+    scan_type = draw(st.sampled_from([t for t in ScanType
+                                      if t.is_range == is_range]))
     spec = QuantizationSpec(draw(st.sampled_from([1, 7, 500, 1000, 123457])),
                             draw(st.sampled_from([1, 2, 4])))
     step = spec.precision_um * 1e-6 if scan_type.is_range else 1.0
-    dtype = np.dtype(draw(st.sampled_from(_FLOAT_DTYPES + _INT_DTYPES)))
+    dtypes = _FLOAT_DTYPES if draw(st.booleans()) else _INT_DTYPES
+    dtype = np.dtype(draw(st.sampled_from(dtypes)))
     n = draw(st.integers(1, 24))
     if dtype.kind == "f":
         k = st.integers(-2, spec.max_sample + 2)
+        huge = st.floats(1e303, np.finfo(np.float64).max)
         value = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                           st.sampled_from(_SPECIALS),
+                          huge, huge.map(lambda v: -v),
                           k.map(lambda k: (k + 0.5) * step),
                           k.map(lambda k: k * step))
         values = draw(st.lists(value, min_size=n, max_size=n))
