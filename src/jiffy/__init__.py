@@ -29,15 +29,14 @@ from .errors import (BadMagicError, ChecksumMismatchError, CorruptStreamError,
                      JiffyError, TruncatedStreamError, UnknownCodecError,
                      UnsupportedVersionError)
 from .rawio import RawSequenceSpec
-from .scan import (BeamLayout, QuantizationSpec, Scan, ScanType, canonicalize,
-                   dequantize, quantize)
+from .scan import QuantizationSpec, Scan, ScanType, dequantize, quantize
 from .synthetic import generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scan", "ScanType", "QuantizationSpec", "BeamLayout",
-    "quantize", "dequantize", "canonicalize",
+    "Scan", "ScanType", "QuantizationSpec",
+    "quantize", "dequantize",
     "Mode", "CodecState", "EncodedScan",
     "encode", "decode",
     "StreamHeader", "StreamWriter", "StreamReader",

@@ -75,15 +75,8 @@ class BenchReport:
     p_scans: int
     frames: list[FrameStat] = field(default_factory=list, repr=False)
 
-    def aggregate_row(self) -> dict:
-        d = asdict(self)
-        d.pop("frames")
-        return d
-
     def to_json(self) -> str:
-        d = self.aggregate_row()
-        d["frames"] = [asdict(f) for f in self.frames]
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def write_csv(self, path: str):
         rows = [asdict(f) for f in self.frames]

@@ -1,4 +1,4 @@
-"""General-purpose byte compressors for mask blocks, behind a small registry.
+"""General-purpose byte compressors for mask blocks, chosen by a codec id byte.
 
 Mask block wire layout (frozen):
 
@@ -8,7 +8,7 @@ The compressed area is self-delimiting per codec: stored data spans exactly
 uncompressed_len bytes, and a deflate stream knows its own end. Masks are
 tiny next to value payloads, so the default codec leans toward speed.
 
-Registered ids:
+Codec ids:
     0  stored (no compression)
     1  deflate, raw stream, fast level  (default)
     2  reserved for zstd; not available here, decoding reports it distinctly
@@ -41,9 +41,9 @@ def compress_block(data: bytes, codec_id: int = DEFAULT_CODEC) -> bytes:
     raise UnknownCodecError(f"unknown byte codec id {codec_id}")
 
 
-def decompress_block(block: bytes, expected_len: int | None = None) -> bytes:
-    """Decode one mask block, validating the declared length."""
-    return parse_block(block, 0, expected_len)[0]
+def decompress_block(block: bytes) -> bytes:
+    """Decode one standalone mask block."""
+    return parse_block(block, 0)[0]
 
 
 def parse_block(buf: bytes, offset: int,

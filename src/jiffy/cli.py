@@ -195,49 +195,6 @@ def _decoded_scans(reader: StreamReader):
         yield scan
 
 
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_compress(args) -> int:
-    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
-    qspec = _qspec_from_args(args, spec)
-    mode = _MODES[args.mode]
-    mask_codec = _MASK_CODECS[args.mask_codec]
-    n = spec.count_frames()
-    rows, cols = args.shape
-    header = StreamHeader(_SCAN_TYPES[args.scan_type], rows, cols,
-                          qspec.sample_width, qspec.precision_um, mask_codec,
-                          frame_count=n)
-
-    state = CodecState()
-    p_scans = 0
-    t_encode = 0.0
-    with open(args.output, "wb") as sink:
-        writer = StreamWriter(sink, header)
-        for frame in rawio.read_frames(spec):
-            t0 = time.perf_counter()
-            scan = _scan_from_raw(frame, qspec, header.scan_type)
-            enc = encode(scan, state, mode, mask_codec=mask_codec)
-            t_encode += time.perf_counter() - t0
-            writer.write_frame(enc)
-            p_scans += enc.mode == Mode.P
-        writer.close()
-        total_out = sink.tell()
-
-    if n == 0:
-        print(f"wrote {args.output}: 0 frames, ratio n/a")
-        return EXIT_OK
-    in_bytes = n * spec.frame_bytes
-    pts = n * rows * cols
-    print(f"wrote {args.output}: {n} frames {rows}x{cols} "
-          f"{spec.element_type}, {in_bytes} -> {total_out} bytes "
-          f"(ratio {in_bytes / total_out:.2f}), "
-          f"{n - p_scans} I-scans / {p_scans} P-scans, "
-          f"{n / t_encode:.0f} scans/s, {pts / t_encode / 1e6:.1f} Mpts/s")
-    return EXIT_OK
-
-
 @contextlib.contextmanager
 def _replacing(path: str):
     """Open ``path`` for binary writing so that a failure leaves it as it was.
@@ -269,6 +226,49 @@ def _replacing(path: str):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def cmd_compress(args) -> int:
+    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
+    qspec = _qspec_from_args(args, spec)
+    mode = _MODES[args.mode]
+    mask_codec = _MASK_CODECS[args.mask_codec]
+    n = spec.count_frames()
+    rows, cols = args.shape
+    header = StreamHeader(_SCAN_TYPES[args.scan_type], rows, cols,
+                          qspec.sample_width, qspec.precision_um, mask_codec,
+                          frame_count=n)
+
+    state = CodecState()
+    p_scans = 0
+    t_encode = 0.0
+    with _replacing(args.output) as sink:
+        writer = StreamWriter(sink, header)
+        for frame in rawio.read_frames(spec):
+            t0 = time.perf_counter()
+            scan = _scan_from_raw(frame, qspec, header.scan_type)
+            enc = encode(scan, state, mode, mask_codec=mask_codec)
+            t_encode += time.perf_counter() - t0
+            writer.write_frame(enc)
+            p_scans += enc.mode == Mode.P
+        writer.close()
+        total_out = sink.tell()
+
+    if n == 0:
+        print(f"wrote {args.output}: 0 frames, ratio n/a")
+        return EXIT_OK
+    in_bytes = n * spec.frame_bytes
+    pts = n * rows * cols
+    print(f"wrote {args.output}: {n} frames {rows}x{cols} "
+          f"{spec.element_type}, {in_bytes} -> {total_out} bytes "
+          f"(ratio {in_bytes / total_out:.2f}), "
+          f"{n - p_scans} I-scans / {p_scans} P-scans, "
+          f"{n / t_encode:.0f} scans/s, {pts / t_encode / 1e6:.1f} Mpts/s")
+    return EXIT_OK
 
 
 def cmd_decompress(args) -> int:

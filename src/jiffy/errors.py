@@ -41,4 +41,4 @@ class UnsupportedVersionError(CorruptStreamError):
 
 
 class UnknownCodecError(JiffyError):
-    """Byte-compressor id is not present in the codec registry."""
+    """Byte-compressor id is not one this build can encode or decode."""

@@ -101,25 +101,6 @@ def delta_unwrap(deltas: np.ndarray) -> np.ndarray:
 # zigzag
 
 
-def zigzag_encode(x: int) -> int:
-    """Map a signed integer to an unsigned code: 2|x| + (1 if x < 0 else 0).
-
-    Small magnitudes land on small codes regardless of sign. Code 1 is never
-    produced (it would be "-0").
-    """
-    if not -(1 << 31) < x < (1 << 31):
-        raise ValueError("zigzag input must satisfy |x| < 2^31")
-    return 2 * abs(x) + (1 if x < 0 else 0)
-
-
-def zigzag_decode(u: int) -> int:
-    """Inverse of :func:`zigzag_encode`; the unreachable code 1 decodes to 0."""
-    if u < 0:
-        raise ValueError("zigzag code must be nonnegative")
-    half = u >> 1
-    return -half if u & 1 else half
-
-
 def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
     """ZigZag over uint32 words holding two's-complement signed values.
 

@@ -1,5 +1,5 @@
-"""Canonical scan representation, Cartesian-to-range-image projection, and
-quantization between float meters and unsigned integer samples.
+"""Scan representation and quantization between float meters and unsigned
+integer samples.
 
 A scan is one 2D frame: rows indexed by beam (altitude), columns by azimuth.
 Range scans use sample value 0 as the out-of-range/invalid sentinel; attribute
@@ -105,37 +105,6 @@ class Scan:
                 and bool(np.array_equal(self.samples, other.samples)))
 
 
-@dataclass(frozen=True)
-class BeamLayout:
-    """Per-beam angles mapping spherical directions onto image bins.
-
-    altitude_angles: one per row, radians, strictly monotone.
-    azimuth_offsets: per-row azimuth of column 0, radians.
-    """
-
-    altitude_angles: np.ndarray
-    azimuth_offsets: np.ndarray
-    cols: int
-
-    def __post_init__(self):
-        alt = np.asarray(self.altitude_angles, dtype=np.float64)
-        azo = np.asarray(self.azimuth_offsets, dtype=np.float64)
-        if alt.ndim != 1 or alt.shape != azo.shape:
-            raise ValueError("altitude_angles and azimuth_offsets must be "
-                             "1D and equal length")
-        d = np.diff(alt)
-        if alt.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
-            raise ValueError("altitude_angles must be strictly monotone")
-        if self.cols < 1:
-            raise ValueError("cols must be positive")
-        object.__setattr__(self, "altitude_angles", alt)
-        object.__setattr__(self, "azimuth_offsets", azo)
-
-    @property
-    def rows(self) -> int:
-        return self.altitude_angles.size
-
-
 def quantize(raw: np.ndarray, spec: QuantizationSpec,
              scan_type: ScanType = ScanType.RANGE) -> Scan:
     """Convert float measurements to an integer Scan.
@@ -184,57 +153,3 @@ def dequantize(scan: Scan, spec: QuantizationSpec) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         np.divide(out, scan.samples != 0, out=out)
     return out
-
-
-def canonicalize(points: np.ndarray, layout: BeamLayout) -> np.ndarray:
-    """Project Cartesian points onto a range image.
-
-    points: (n, 3) array of x, y, z in meters. Each point becomes range
-    sqrt(x^2+y^2+z^2) at the nearest (row, col) bin by altitude and azimuth;
-    bin collisions keep the nearer return and zero-length points are skipped.
-    Returns a (rows, cols) float array with NaN at unfilled bins.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return np.full((layout.rows, layout.cols), np.nan)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (n, 3)")
-
-    rng = np.sqrt((pts * pts).sum(axis=1))
-    keep = rng > 0.0
-    pts, rng = pts[keep], rng[keep]
-    if rng.size == 0:
-        return np.full((layout.rows, layout.cols), np.nan)
-    altitude = np.arcsin(np.clip(pts[:, 2] / rng, -1.0, 1.0))
-    azimuth = np.arctan2(pts[:, 1], pts[:, 0])
-
-    rows = _nearest_row(altitude, layout.altitude_angles)
-
-    # column bins are uniform in azimuth, offset per row; ties take the
-    # lower index, and indexing wraps
-    step = 2.0 * np.pi / layout.cols
-    frac = (azimuth - layout.azimuth_offsets[rows]) / step
-    lo = np.floor(frac)
-    cols = np.where(frac - lo <= 0.5, lo, lo + 1.0).astype(np.int64)
-    cols %= layout.cols
-
-    image = np.full((layout.rows, layout.cols), np.inf)
-    np.minimum.at(image, (rows, cols), rng)
-    image[np.isinf(image)] = np.nan
-    return image
-
-
-def _nearest_row(altitude: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    if angles.size == 1:
-        return np.zeros(altitude.shape, dtype=np.int64)
-    ascending = angles[1] > angles[0]
-    table = angles if ascending else angles[::-1]
-    i = np.clip(np.searchsorted(table, altitude), 1, table.size - 1)
-    lower, upper = table[i - 1], table[i]
-    # ties take the lower index of the original (possibly descending) layout
-    if ascending:
-        pick_low = (altitude - lower) <= (upper - altitude)
-    else:
-        pick_low = (altitude - lower) < (upper - altitude)
-    rows = np.where(pick_low, i - 1, i)
-    return rows if ascending else angles.size - 1 - rows

@@ -99,15 +99,14 @@ def uvarint_len_array(values: np.ndarray) -> np.ndarray:
 
 
 def write_uvarints(out: np.ndarray, positions: np.ndarray, values: np.ndarray,
-                   lengths: np.ndarray | None = None) -> np.ndarray:
+                   lengths: np.ndarray) -> np.ndarray:
     """Write one varint per element of ``values`` into the uint8 array ``out``.
 
-    ``positions`` gives each varint's starting byte offset. Returns the array
-    of offsets one past each written varint. Offsets may not overlap.
+    ``positions`` gives each varint's starting byte offset and ``lengths``
+    its byte length, as :func:`uvarint_len_array` computes it. Returns the
+    array of offsets one past each written varint. Offsets may not overlap.
     """
     v = np.asarray(values, dtype=np.uint64)
-    if lengths is None:
-        lengths = uvarint_len_array(v)
     max_len = int(lengths.max(initial=1))
     for k in range(max_len):
         sel = lengths > k

@@ -208,7 +208,14 @@ def ref_pfor_decode_strict(buf: bytes):
 
 
 def ref_zigzag(x: int) -> int:
+    """2|x| + [x < 0] for |x| < 2^31. Code 1 is never produced ("-0")."""
     return 2 * abs(x) + (1 if x < 0 else 0)
+
+
+def ref_unzigzag(u: int) -> int:
+    """Inverse of :func:`ref_zigzag`; the unreachable code 1 gives 0."""
+    half = u >> 1
+    return -half if u & 1 else half
 
 
 def ref_wrapped_pipeline_encode(values):

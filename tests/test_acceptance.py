@@ -15,7 +15,7 @@ from jiffy.codec import CodecState, Mode, decode, encode
 from jiffy.container import (HEADER_SIZE, StreamHeader, StreamReader,
                              StreamWriter)
 from jiffy.errors import JiffyError
-from jiffy.intcodec import pfor_decode, pfor_encode, zigzag_decode, zigzag_encode
+from jiffy.intcodec import pfor_decode, pfor_encode, zigzag_unwrap, zigzag_wrap
 from jiffy.scan import (QuantizationSpec, Scan, ScanType, dequantize,
                         quantize, sample_dtype)
 from jiffy.synthetic import generate
@@ -120,17 +120,25 @@ def test_criterion_2_quantization_bound():
 
 
 def test_criterion_3_zigzag_conformance():
+    # the shipping pair works on uint32 words holding two's-complement values
     xs = np.arange(-(1 << 16), (1 << 16) + 1, dtype=np.int64)
     want = 2 * np.abs(xs) + (xs < 0)
-    got = np.array([zigzag_encode(int(x)) for x in xs], dtype=np.int64)
+    got = zigzag_wrap(xs.astype(np.uint32))
+    assert got.dtype == np.uint32
     assert np.array_equal(got, want)
-    back = np.array([zigzag_decode(int(c)) for c in got], dtype=np.int64)
-    assert np.array_equal(back, xs)
-    for x in (0, -1, 1, 1 << 30, -(1 << 30), (1 << 31) - 1, -(1 << 31) + 1):
-        assert zigzag_encode(x) == 2 * abs(x) + (x < 0)
-        assert zigzag_decode(zigzag_encode(x)) == x
+    back = zigzag_unwrap(got)
+    assert np.array_equal(back.view(np.int32), xs)
+    edges = np.array([0, -1, 1, 1 << 30, -(1 << 30), (1 << 31) - 1,
+                      -(1 << 31) + 1], dtype=np.int64)
+    codes = zigzag_wrap(edges.astype(np.uint32))
+    assert np.array_equal(codes, 2 * np.abs(edges) + (edges < 0))
+    assert np.array_equal(zigzag_unwrap(codes).view(np.int32), edges)
+    # -2^31 has no code in 2|x| + [x < 0]; the uint32 pair wraps it to 1
+    min_int = np.array([0x80000000], dtype=np.uint32)
+    assert zigzag_wrap(min_int).tolist() == [1]
+    assert zigzag_unwrap(np.array([1], dtype=np.uint32)).tolist() == [0x80000000]
     print(f"criterion 3 PASS: exhaustive |x| <= 2^16 ({xs.size} values) "
-          f"plus boundaries")
+          f"plus boundaries and the -2^31 wrap")
 
 
 def test_criterion_4_pfor_oracle_equivalence():

@@ -19,7 +19,7 @@ def test_default_is_deflate():
     assert bytecomp.DEFAULT_CODEC == bytecomp.DEFLATE
     block = bytecomp.compress_block(b"x" * 100)
     assert block[1] == bytecomp.DEFLATE
-    assert bytecomp.decompress_block(block, expected_len=100) == b"x" * 100
+    assert bytecomp.parse_block(block, 0, 100) == (b"x" * 100, len(block))
 
 
 def test_redundant_mask_compresses_hard():
@@ -33,7 +33,7 @@ def test_redundant_mask_compresses_hard():
        st.sampled_from([bytecomp.STORED, bytecomp.DEFLATE]))
 def test_roundtrip(data, codec):
     block = bytecomp.compress_block(data, codec)
-    assert bytecomp.decompress_block(block, expected_len=len(data)) == data
+    assert bytecomp.parse_block(block, 0, len(data)) == (data, len(block))
 
 
 def test_parse_block_reports_consumed_offset():
@@ -62,7 +62,7 @@ def test_reserved_zstd_is_distinct():
 def test_expected_len_mismatch():
     block = bytecomp.compress_block(b"abcd")
     with pytest.raises(CorruptStreamError):
-        bytecomp.decompress_block(block, expected_len=5)
+        bytecomp.parse_block(block, 0, 5)
 
 
 def test_expected_len_checked_before_inflating():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jiffy.cli import main
-from jiffy.codec import EncodedScan
+from jiffy.codec import EncodedScan, encode
 from jiffy.container import HEADER_SIZE, StreamReader, StreamWriter
 from jiffy.rawio import RawSequenceSpec, read_all
 from jiffy.synthetic import generate
@@ -115,6 +115,28 @@ def test_failed_decompress_keeps_existing_output(tmp_path, corpus, capsys):
     assert run("decompress", "--input", jfy, "--output", os.devnull) == 0
     assert os.path.exists(os.devnull)
     capsys.readouterr()
+
+
+def test_failed_compress_keeps_existing_output(tmp_path, corpus, capsys,
+                                              monkeypatch):
+    calls = []
+
+    def failing_encode(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise OSError("disk gone")
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr("jiffy.cli.encode", failing_encode)
+    out = tmp_path / "seq.jfy"
+    out.write_bytes(b"old contents")
+    before = sorted(os.listdir(tmp_path))
+    assert run("compress", "--input", corpus, "--shape", "16x64",
+               "--output", out) == 1
+    assert len(calls) == 3
+    assert out.read_bytes() == b"old contents"
+    assert sorted(os.listdir(tmp_path)) == before    # no temporary left
+    assert "disk gone" in capsys.readouterr().err
 
 
 def test_verify_detects_mismatched_input(tmp_path, corpus, capsys):

@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
 from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
                             iter_blocks, pfor_decode, pfor_encode, pfor_size,
-                            zigzag_decode, zigzag_encode, zigzag_unwrap,
-                            zigzag_wrap)
+                            zigzag_unwrap, zigzag_wrap)
 from jiffy.varint import encode_uvarint
 
 from .refimpl import (RefReject, ref_iter_blocks, ref_optimal_width,
                       ref_pfor_decode, ref_pfor_decode_strict, ref_pfor_encode,
-                      ref_wrapped_pipeline_decode, ref_wrapped_pipeline_encode,
-                      ref_zigzag)
+                      ref_unzigzag, ref_wrapped_pipeline_decode,
+                      ref_wrapped_pipeline_encode, ref_zigzag)
 
 u32_arrays = st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
                       min_size=0, max_size=400).map(
@@ -52,31 +51,16 @@ def test_wrap_agrees_with_exact_when_in_range(values):
                                  (2, 4), (-2, 5), ((1 << 31) - 1, (1 << 32) - 2),
                                  (-(1 << 31) + 1, (1 << 32) - 1)])
 def test_zigzag_known(x, u):
-    assert zigzag_encode(x) == u
-    assert zigzag_decode(u) == x
+    word = np.array([x], dtype=np.int64).astype(np.uint32)
+    assert zigzag_wrap(word).tolist() == [u]
+    assert zigzag_unwrap(np.array([u], dtype=np.uint32)).tolist() == word.tolist()
 
 
 def test_zigzag_code_one_unreachable():
-    # 2|x| + [x<0] == 1 has no solution; decode maps it to 0
-    assert zigzag_decode(1) == 0
-    for x in range(-300, 301):
-        assert zigzag_encode(x) != 1
-
-
-def test_zigzag_domain():
-    with pytest.raises(ValueError):
-        zigzag_encode(1 << 31)
-    with pytest.raises(ValueError):
-        zigzag_encode(-(1 << 31))
-    with pytest.raises(ValueError):
-        zigzag_decode(-1)
-
-
-@given(st.integers(min_value=-(1 << 31) + 1, max_value=(1 << 31) - 1))
-def test_zigzag_roundtrip(x):
-    u = zigzag_encode(x)
-    assert u == ref_zigzag(x)
-    assert zigzag_decode(u) == x
+    # 2|x| + [x<0] == 1 has no solution for |x| < 2^31; only the wrapped
+    # -2^31 word lands there (test_zigzag_wrap_min_int_lands_on_code_one)
+    xs = np.r_[-300:301, -(1 << 31) + 1, (1 << 31) - 1].astype(np.int64)
+    assert 1 not in zigzag_wrap(xs.astype(np.uint32))
 
 
 @given(u32_arrays)
@@ -101,6 +85,8 @@ def test_zigzag_wrap_agrees_with_scalar(values):
     v = np.array(values, dtype=np.int64).astype(np.uint32)  # two's complement
     codes = zigzag_wrap(v)
     assert codes.tolist() == [ref_zigzag(x) for x in values]
+    back = zigzag_unwrap(codes).view(np.int32).tolist()
+    assert back == [ref_unzigzag(c) for c in codes.tolist()]
 
 
 @given(u32_arrays)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jiffy.scan import (BeamLayout, QuantizationSpec, Scan, ScanType,
-                        canonicalize, dequantize, quantize, sample_dtype)
+from jiffy.scan import (QuantizationSpec, Scan, ScanType, dequantize, quantize,
+                        sample_dtype)
 
 from .refimpl import ref_dequantize, ref_quantize
 
@@ -199,100 +199,3 @@ def test_scan_type_properties():
     assert ScanType.RANGE.is_range and ScanType.RANGE2.is_range
     assert not ScanType.SIGNAL.is_range
     assert sample_dtype(4) == np.dtype("<u4")
-
-
-# ---------------------------------------------------------------------------
-# canonicalize
-
-
-def _uniform_layout(rows, cols, alt_span=0.6):
-    alts = np.linspace(-alt_span / 2, alt_span / 2, rows)
-    return BeamLayout(alts, np.zeros(rows), cols)
-
-
-def test_canonicalize_axis_aligned():
-    layout = _uniform_layout(5, 8)
-    # altitude 0 is exactly row 2; azimuth 0 is exactly col 0
-    img = canonicalize(np.array([[1.0, 0.0, 0.0]]), layout)
-    assert img[2, 0] == pytest.approx(1.0)
-    assert np.isnan(img).sum() == img.size - 1
-
-
-def test_canonicalize_empty_and_degenerate():
-    layout = _uniform_layout(3, 4)
-    img = canonicalize(np.empty((0, 3)), layout)
-    assert np.isnan(img).all()
-    img = canonicalize(np.array([[0.0, 0.0, 0.0]]), layout)   # zero-length ray
-    assert np.isnan(img).all()
-
-
-def test_canonicalize_collision_keeps_nearest():
-    layout = _uniform_layout(3, 4)
-    pts = np.array([[5.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    img = canonicalize(pts, layout)
-    assert img[1, 0] == pytest.approx(2.0)
-
-
-def test_canonicalize_grid_reprojection_exact():
-    """Points synthesized exactly on bin directions land on their bins."""
-    rows, cols = 7, 16
-    layout = _uniform_layout(rows, cols)
-    rng = np.random.default_rng(11)
-    r_idx = rng.integers(0, rows, 40)
-    c_idx = rng.integers(0, cols, 40)
-    ranges = rng.uniform(1.0, 50.0, 40)
-    alt = layout.altitude_angles[r_idx]
-    az = c_idx * (2 * np.pi / cols)
-    pts = np.stack([ranges * np.cos(alt) * np.cos(az),
-                    ranges * np.cos(alt) * np.sin(az),
-                    ranges * np.sin(alt)], axis=1)
-    img = canonicalize(pts, layout)
-    for k in range(40):
-        got = img[r_idx[k], c_idx[k]]
-        assert got <= ranges[k] + 1e-9          # collisions keep the nearer
-        assert np.isfinite(got)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=200))
-def test_canonicalize_matches_bruteforce(seed):
-    rng = np.random.default_rng(seed)
-    rows, cols = 5, 9
-    layout = _uniform_layout(rows, cols)
-    pts = rng.uniform(-20, 20, size=(30, 3))
-
-    expect = np.full((rows, cols), np.inf)
-    step = 2 * np.pi / cols
-    for x, y, z in pts:
-        r = float(np.sqrt(x * x + y * y + z * z))
-        if r == 0.0:
-            continue
-        alt = float(np.arcsin(z / r))
-        az = float(np.arctan2(y, x))
-        dists = np.abs(layout.altitude_angles - alt)
-        row = int(np.argmin(dists))             # lower index wins ties
-        frac = az / step
-        lo = np.floor(frac)
-        col = int(lo if frac - lo <= 0.5 else lo + 1) % cols
-        expect[row, col] = min(expect[row, col], r)
-    expect[np.isinf(expect)] = np.nan
-
-    got = canonicalize(pts, layout)
-    assert np.array_equal(np.isnan(got), np.isnan(expect))
-    assert np.allclose(got[~np.isnan(got)], expect[~np.isnan(expect)])
-
-
-def test_canonicalize_descending_layout():
-    alts = np.linspace(0.3, -0.3, 5)            # beams sorted top-down
-    layout = BeamLayout(alts, np.zeros(5), 8)
-    img = canonicalize(np.array([[1.0, 0.0, 0.0]]), layout)
-    assert img[2, 0] == pytest.approx(1.0)
-
-
-def test_beam_layout_validation():
-    with pytest.raises(ValueError):
-        BeamLayout(np.array([0.1, 0.1, 0.2]), np.zeros(3), 8)   # not monotone
-    with pytest.raises(ValueError):
-        BeamLayout(np.zeros(3), np.zeros(2), 8)
-    with pytest.raises(ValueError):
-        BeamLayout(np.array([0.0, 0.1]), np.zeros(2), 0)

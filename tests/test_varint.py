@@ -90,7 +90,7 @@ def test_write_uvarints_matches_scalar(values):
     starts = np.zeros(len(values), dtype=np.int64)
     np.cumsum(lens[:-1], out=starts[1:])
     buf = np.zeros(int(lens.sum()), dtype=np.uint8)
-    ends = write_uvarints(buf, starts, arr)
+    ends = write_uvarints(buf, starts, arr, lens)
     assert buf.tobytes() == b"".join(encode_uvarint(v) for v in values)
     assert ends.tolist() == (starts + lens).tolist()
 
