@@ -2,9 +2,10 @@
 
 Everything here works on in-memory frames so the reported rates are codec
 rates, not disk rates. Encode and decode are timed separately with a warm-up
-pass excluded; repetitions give a timing spread. Every runner decodes what it
-encoded and compares sample-exact, so a reported number from a broken build
-is impossible.
+pass excluded; repetitions give a timing spread. ``run_bench``,
+``run_ablation`` and ``run_sweep`` decode every pass they encode and compare
+it sample-exact, so a reported number from a broken build is impossible;
+``run_heuristic_eval`` compares encoded sizes only.
 
 The ablation's partial pipelines live here, not in the codec: the unmasked
 rungs run their value stages straight into PFOR and check their own round
@@ -20,8 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bytecomp
-from .codec import (TEST_LINES, CodecState, EncodedScan, Mode, decode, encode,
-                    select_mode)
+from .codec import CodecState, EncodedScan, Mode, decode, encode, select_mode
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        zigzag_unwrap, zigzag_wrap)
 from .scan import QuantizationSpec, Scan, ScanType, quantize
@@ -90,46 +90,40 @@ class BenchReport:
 def write_csv(path: str, rows: list[dict]):
     if not rows:
         raise ValueError("no rows to write")
-    keys = list(rows[0])
-    for r in rows[1:]:
-        keys.extend(k for k in r if k not in keys)
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=keys)
+    with open(path, "w", newline="") as f:     # all rows share these keys
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
 
 
-def _encode_all(scans, mode=None, times=None):
-    state = CodecState()
-    out = []
+def _roundtrip(scans, mode=None):
+    """Encode ``scans`` in one timed pass and decode the records in a second.
+
+    Every frame is then compared sample-exact, outside both timings. Returns
+    the records, the per-frame encode and decode seconds, and the wall
+    seconds of the whole encode and decode passes.
+    """
+    proto = scans[0]
+    enc_state, dec_state = CodecState(), CodecState()
+    encs, enc_frames = [], []
+    start = time.perf_counter()
     for scan in scans:
         t0 = time.perf_counter()
-        enc = encode(scan, state, mode)
-        t1 = time.perf_counter()
-        out.append(enc)
-        if times is not None:
-            times.append(t1 - t0)
-    return out
-
-
-def _decode_all(encs, proto: Scan, times=None):
-    state = CodecState()
-    out = []
+        encs.append(encode(scan, enc_state, mode))
+        enc_frames.append(time.perf_counter() - t0)
+    enc_pass = time.perf_counter() - start
+    decoded, dec_frames = [], []
+    start = time.perf_counter()
     for enc in encs:
         t0 = time.perf_counter()
-        scan = decode(enc, state, proto.scan_type, proto.sample_width,
-                      proto.rows, proto.cols)
-        t1 = time.perf_counter()
-        out.append(scan)
-        if times is not None:
-            times.append(t1 - t0)
-    return out
-
-
-def _verify_same(scans, decoded):
+        decoded.append(decode(enc, dec_state, proto.scan_type,
+                              proto.sample_width, proto.rows, proto.cols))
+        dec_frames.append(time.perf_counter() - t0)
+    dec_pass = time.perf_counter() - start
     for i, (a, b) in enumerate(zip(scans, decoded)):
         if not np.array_equal(a.samples, b.samples):
             raise AssertionError(f"decode mismatch at frame {i}")
+    return encs, enc_frames, dec_frames, enc_pass, dec_pass
 
 
 def _encode_unmasked(scans, stages):
@@ -169,22 +163,12 @@ def run_bench(scans: list[Scan], reps: int = 3,
         raise ValueError("reps must be positive")
     proto = scans[0]
 
-    # warm-up, also produces the verified reference encoding
-    encs = _encode_all(scans, mode)
-    decoded = _decode_all(encs, proto)
-    _verify_same(scans, decoded)
-
+    _roundtrip(scans, mode)                     # warm-up, not timed
     enc_totals, dec_totals = [], []
-    frame_enc, frame_dec = [], []
     for _ in range(reps):
-        frame_enc = []
-        t0 = time.perf_counter()
-        encs = _encode_all(scans, mode, frame_enc)
-        enc_totals.append(time.perf_counter() - t0)
-        frame_dec = []
-        t0 = time.perf_counter()
-        _decode_all(encs, proto, frame_dec)
-        dec_totals.append(time.perf_counter() - t0)
+        encs, frame_enc, frame_dec, enc_s, dec_s = _roundtrip(scans, mode)
+        enc_totals.append(enc_s)
+        dec_totals.append(dec_s)
 
     points = proto.rows * proto.cols
     in_bytes = points * proto.sample_width
@@ -232,8 +216,7 @@ def run_ablation(scans: list[Scan],
         if stages is not None:
             encs = _encode_unmasked(scans, stages)
         else:
-            encs = _encode_all(scans, mode)
-            _verify_same(scans, _decode_all(encs, proto))
+            encs = _roundtrip(scans, mode)[0]
         total_out = sum(e.total_bytes for e in encs)
         out.append({
             "variant": name,
@@ -263,9 +246,7 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)
         scans = [quantize(f, spec, scan_type) for f in frames]
-        encs = _encode_all(scans)
-        decoded = _decode_all(encs, scans[0])
-        _verify_same(scans, decoded)
+        encs = _roundtrip(scans)[0]
         total_out = sum(e.total_bytes for e in encs)
         rows.append({
             "precision_um": int(p),
@@ -276,9 +257,9 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
     return rows
 
 
-def run_heuristic_eval(scans: list[Scan],
-                       test_lines: int = TEST_LINES) -> dict:
-    """Compare the trial-compression choice against brute force.
+def run_heuristic_eval(scans: list[Scan]) -> dict:
+    """Compare the shipping trial compression of ``TEST_LINES`` scanlines
+    against brute force.
 
     For every frame after the first, fully encode both ways and call the
     smaller one optimal (tie: either counts as correct). Reports overall
@@ -292,7 +273,7 @@ def run_heuristic_eval(scans: list[Scan],
 
     evaluated = sub_i = sub_p = 0
     for scan in scans[1:]:
-        choice = select_mode(scan, state, test_lines)
+        choice = select_mode(scan, state)
         size_i = encode(scan, CodecState(), Mode.I).total_bytes
         size_p = encode(scan, state, Mode.P).total_bytes    # moves state on
         if choice == Mode.I and size_p < size_i:

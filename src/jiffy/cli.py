@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bench as benchmod
 from . import bytecomp, rawio, synthetic
-from .codec import TEST_LINES, CodecState, Mode, decode, encode
+from .codec import CodecState, Mode, decode, encode
 from .container import StreamHeader, StreamReader, StreamWriter
 from .errors import CorruptStreamError, JiffyError
 from .rawio import ELEMENT_TYPES, RawSequenceSpec
@@ -140,7 +140,6 @@ def build_parser() -> _Parser:
     h = sub.add_parser("heuristic-eval",
                        help="mode heuristic vs brute-force optimum")
     _add_scan_input(h)
-    h.add_argument("--test-lines", type=int, default=TEST_LINES)
     h.set_defaults(func=cmd_heuristic_eval)
 
     g = sub.add_parser("gen", help="write a synthetic raw sequence")
@@ -385,7 +384,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_heuristic_eval(args) -> int:
     _, scans = _load_scans(args)
-    r = benchmod.run_heuristic_eval(scans, test_lines=args.test_lines)
+    r = benchmod.run_heuristic_eval(scans)
     print(f"frames evaluated:  {r['frames_evaluated']}")
     print(f"accuracy:          {r['accuracy'] * 100:.1f}%")
     print(f"suboptimal I rate: {r['suboptimal_i_rate'] * 100:.2f}%")

@@ -16,8 +16,9 @@ EncodedScan wire layout (frozen):
     [value_block]             PFOR stream
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -56,26 +57,18 @@ class CodecState:
         self.mask = mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedScan:
     mode: Mode
     value_count: int
     mask_block: bytes
     value_block: bytes
     residual_plain: bool = False    # mode bit1
-    # (mask_block, its plaintext): the block is inflated at most once
-    _mask_cache: tuple[bytes, bytes] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def mask_plaintext(self) -> bytes:
         """The inflated mask block, computed on first use and kept."""
-        cache = self._mask_cache
-        if cache is None or cache[0] is not self.mask_block:
-            cache = (self.mask_block,
-                     bytecomp.decompress_block(self.mask_block))
-            self._mask_cache = cache
-        return cache[1]
+        return bytecomp.decompress_block(self.mask_block)
 
     def to_bytes(self) -> bytes:
         flags = int(self.mode) | (2 if self.residual_plain else 0)
@@ -109,7 +102,7 @@ class EncodedScan:
         enc = cls(mode=Mode(flags & 1), value_count=value_count,
                   mask_block=mask_block, value_block=bytes(buf[pos:pos + vlen]),
                   residual_plain=bool(flags & 2))
-        enc._mask_cache = (mask_block, mask_plain)
+        object.__setattr__(enc, "mask_plaintext", mask_plain)  # seed the cache
         return enc
 
 
@@ -130,24 +123,21 @@ def _check_shape(scan: Scan, state: CodecState):
         raise ValueError("scan shape differs from reference")
 
 
-def select_mode(scan: Scan, state: CodecState,
-                test_lines: int = TEST_LINES) -> Mode:
+def select_mode(scan: Scan, state: CodecState) -> Mode:
     """Pick I or P by trial-compressing a few scanlines.
 
     Sizes only the value pipeline (mask compression excluded) over
-    ``test_lines`` evenly spaced rows, with ``pfor_size`` rather than
+    ``TEST_LINES`` evenly spaced rows, with ``pfor_size`` rather than
     packing, and keeps the cheaper mode, preferring I on a tie. The first
     scan of a stream is always I; a scan shaped unlike the previous one
     raises ValueError.
     """
-    if test_lines < 1:
-        raise ValueError("test_lines must be positive")
     if state.samples is None:
         return Mode.I
     _check_shape(scan, state)
 
     rows = scan.rows
-    nlines = min(test_lines, rows)
+    nlines = min(TEST_LINES, rows)
     idx = (np.arange(nlines, dtype=np.int64) * rows) // nlines
     cur_rows = scan.samples[idx]
     prev_rows = state.samples[idx]

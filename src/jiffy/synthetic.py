@@ -28,6 +28,8 @@ _DEFAULT_SPARSITY = {
 }
 
 _SPECKLE = 0.02     # per-frame flickering dropout within the live region
+_DRIFT = 2.5        # driving_like: columns the scene drifts per frame
+_OCCLUDERS = 6      # driving_like: moving near-field blobs
 
 RANGE_LO = 2.0      # m
 RANGE_HI = 60.0
@@ -125,10 +127,9 @@ def _random(rng, frames, rows, cols, sparsity):
     return out
 
 
-def _driving(rng, frames, rows, cols, sparsity, noise_m,
-             drift_cols_per_frame: float = 2.5, occluders: int = 6):
+def _driving(rng, frames, rows, cols, sparsity, noise_m):
     """Sideways-drifting scene with moving near-range blobs."""
-    span = cols + int(np.ceil(drift_cols_per_frame * frames)) + 2
+    span = cols + int(np.ceil(_DRIFT * frames)) + 2
     wide_base = _smooth_base(rng, rows, span)
     wide_drop, speckle = _dropout_masks(rng, rows, span, sparsity, False, 1)
     del speckle     # regenerated per frame below at output width
@@ -140,12 +141,12 @@ def _driving(rng, frames, rows, cols, sparsity, noise_m,
               int(rng.integers(20, 70)),
               float(rng.uniform(1.0, 6.0)),
               float(rng.uniform(-4.0, 4.0)))
-             for _ in range(occluders)]
+             for _ in range(_OCCLUDERS)]
 
     out = np.empty((frames, rows, cols), dtype=np.float32)
     col_idx = np.arange(cols)
     for t in range(frames):
-        shift = t * drift_cols_per_frame
+        shift = t * _DRIFT
         x = (col_idx + shift) % span
         x0 = np.floor(x).astype(np.int64)
         x1 = (x0 + 1) % span

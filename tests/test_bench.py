@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from jiffy import bench
 from jiffy.bench import (ABLATION_LADDER, run_ablation, run_bench,
                          run_heuristic_eval, run_sweep)
 from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
@@ -47,6 +48,25 @@ def test_run_bench_rejects_bad_args():
         run_bench([])
     with pytest.raises(ValueError):
         run_bench(scans_of("random", frames=2), reps=0)
+
+
+def test_every_timed_pass_is_verified(monkeypatch):
+    scans = scans_of("static_scene", frames=3)
+    real_decode, calls = bench.decode, []
+
+    def flipping_decode(*args):
+        scan = real_decode(*args)
+        calls.append(1)
+        if len(calls) <= len(scans):    # the warm-up pass decodes cleanly
+            return scan
+        samples = scan.samples.copy()
+        samples[0, 0] ^= 1
+        return Scan(scan.scan_type, scan.sample_width, samples)
+
+    monkeypatch.setattr(bench, "decode", flipping_decode)
+    with pytest.raises(AssertionError, match="frame 0"):
+        run_bench(scans, reps=1)
+    assert len(calls) == 2 * len(scans)
 
 
 def test_static_beats_random():

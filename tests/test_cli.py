@@ -251,13 +251,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):
     # verify takes scan type, width and precision from the container header;
-    # sweep takes its precisions from --precisions
+    # sweep takes its precisions from --precisions; heuristic-eval measures
+    # the shipping trial size
     jfy = tmp_path / "seq.jfy"
     run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
     for argv in (("verify", "--input", corpus, "--shape", "16x64",
                   "--scan-type", "signal", "--container", jfy),
                  ("sweep", "--input", corpus, "--shape", "16x64",
-                  "--precision-um", 7, "--precisions", "1000")):
+                  "--precision-um", 7, "--precisions", "1000"),
+                 ("heuristic-eval", "--input", corpus, "--shape", "16x64",
+                  "--test-lines", "4")):
         with pytest.raises(SystemExit) as ei:
             run(*argv)
         assert ei.value.code == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -129,11 +130,13 @@ def test_mask_block_inflated_once(monkeypatch):
     assert len(calls) == 2                  # first decode of a built scan
 
 
-def test_mask_plaintext_follows_mask_block():
+def test_encoded_scan_is_frozen():
+    # the cached mask plaintext can never go stale behind its block
     enc = EncodedScan.from_bytes(GOLDEN_BYTES)
     assert enc.mask_plaintext == b"\x45"
-    enc.mask_block = bytecomp.compress_block(b"\x44", bytecomp.STORED)
-    assert enc.mask_plaintext == b"\x44"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        enc.mask_block = bytecomp.compress_block(b"\x44", bytecomp.STORED)
+    assert enc.mask_plaintext == b"\x45"
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +355,7 @@ def test_test_lines_clamped_to_rows():
     state = CodecState()
     encode(rand_scan(rng, 2, 30), state)
     # more test lines than rows must not crash or duplicate rows
-    assert select_mode(rand_scan(rng, 2, 30), state, 16) in (Mode.I, Mode.P)
-
-
-def test_test_lines_must_be_positive():
-    state = CodecState()
-    encode(mkscan(GOLDEN_SCAN), state)
-    with pytest.raises(ValueError, match="test_lines"):
-        select_mode(mkscan(GOLDEN_SCAN), state, 0)
+    assert select_mode(rand_scan(rng, 2, 30), state) in (Mode.I, Mode.P)
 
 
 @given(st.integers(0, 100_000))
@@ -376,11 +372,10 @@ def test_select_mode_matches_trial_oracle(seed):
     else:
         cur = rand_scan(rng, rows, cols, width, float(rng.random())).samples
     cur[rng.random(rows) < 0.3] = 0     # rows with no return at all
-    lines = int(rng.integers(1, 7))
     state = CodecState()
     encode(prev, state)
-    got = select_mode(Scan(ScanType.RANGE, width, cur), state, lines)
-    assert got == ref_select_mode(cur.tolist(), prev.samples.tolist(), lines)
+    got = select_mode(Scan(ScanType.RANGE, width, cur), state)
+    assert got == ref_select_mode(cur.tolist(), prev.samples.tolist())
 
 
 def test_select_mode_on_zero_trial_rows_ties_to_i():
