@@ -37,6 +37,15 @@ adds its high bits to the next word. The little-endian words, viewed as
 bytes and cut to ``ceil(blen*w/8)``, are the packed area, copied into the
 output as one contiguous row per block.
 
+The exceptions of all blocks are then written in one flat pass. A single
+``np.flatnonzero`` over the offsets wider than their block's width gives
+flat indices, split into block and position by the block length; they run
+block-major, so each block's exceptions form one run in stream order. Each
+remainder's varint size comes from the cost step's bit lengths,
+``ceil((bitlen - w) / 7)``, so no value is measured again; every position
+byte goes out in one scatter and every remainder in one
+:func:`~jiffy.varint.write_uvarints` call.
+
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
 both read (the exceptions it patches in are also the ones
 :func:`iter_blocks` reports). It walks the block headers in Python once per
@@ -200,17 +209,23 @@ def _pfor_parse(data):
     count_cont = buf.translate(_CONTINUATION).count
     for base in range(0, n, BLOCK_SIZE):
         blen = min(BLOCK_SIZE, n - base)
-        # Reference and exception count are usually one byte each: read those
-        # inline and leave longer varints to decode_uvarint.
+        # The reference is usually one or two bytes and the exception count
+        # one: read those inline and leave other varints (an overlong
+        # second byte 0x00 among them) to decode_uvarint.
         if pos + 3 > total:
             raise TruncatedStreamError("truncated block header")
         ref = buf[pos]
         if ref < 0x80:
             pos += 1
         else:
-            ref, pos = decode_uvarint(buf, pos)
-            if ref > _U32_MAX:
-                raise CorruptStreamError("block reference exceeds uint32")
+            b1 = buf[pos + 1]
+            if 0 < b1 < 0x80:
+                ref = (ref & 0x7F) | b1 << 7
+                pos += 2
+            else:
+                ref, pos = decode_uvarint(buf, pos)
+                if ref > _U32_MAX:
+                    raise CorruptStreamError("block reference exceeds uint32")
             if pos + 2 > total:
                 raise TruncatedStreamError("truncated block header")
         width = buf[pos]
@@ -413,18 +428,23 @@ def _write_blocks(c: _BlockCosts) -> bytes:
 
     total_exc = int(exc_counts.sum())
     if total_exc:
-        eblk, epos = np.nonzero(c.bitlen > bw[:, None])
-        evals = c.off[eblk, epos] >> bw[eblk].astype(np.uint32)
-        evlen = uvarint_len_array(evals)
-        block_first = np.zeros(nblk + 1, dtype=np.int64)
-        np.cumsum(exc_counts, out=block_first[1:])
-        rank = np.arange(total_exc, dtype=np.int64) - block_first[eblk]
-        buf[exc_start[eblk] + rank] = epos
+        # flat indices run block-major: each block's exceptions are one run
+        flat = np.flatnonzero(c.bitlen > bw[:, None])
+        eblk, epos = np.divmod(flat, c.off.shape[1])
+        ewidth = bw[eblk]
+        evals = c.off.ravel()[flat] >> ewidth.astype(np.uint32)
+        # a remainder has the offset's bit length less the width
+        evlen = (c.bitlen.ravel()[flat] - ewidth + 6) // 7
+        first = np.zeros(nblk + 1, dtype=np.int64)
+        np.cumsum(exc_counts, out=first[1:])
         g = np.zeros(total_exc + 1, dtype=np.int64)
         np.cumsum(evlen, out=g[1:])
-        rem_off = g[:-1] - g[block_first[eblk]]
-        write_uvarints(buf, exc_start[eblk] + exc_counts[eblk] + rem_off,
-                       evals, evlen)
+        # exception k of block b has rank k - first[b] among its positions,
+        # and its remainder starts g[k] - g[first[b]] bytes past them
+        first = first[:-1]
+        buf[(exc_start - first)[eblk] + np.arange(total_exc)] = epos
+        rem_base = exc_start + exc_counts - g[first]
+        write_uvarints(buf, rem_base[eblk] + g[:-1], evals, evlen)
     return buf.tobytes()
 
 

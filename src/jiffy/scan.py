@@ -131,7 +131,9 @@ def quantize(raw: np.ndarray, spec: QuantizationSpec,
         q = np.multiply(a, scale, dtype=np.float64)
     np.rint(q, out=q)
     np.fmax(q, 0.0, out=q)
-    np.putmask(q, q == np.inf, 0.0)
+    inf = q == np.inf
+    if inf.any():
+        np.putmask(q, inf, 0.0)
     np.minimum(q, float(spec.max_sample), out=q)
     return Scan(scan_type, spec.sample_width,
                 q.astype(sample_dtype(spec.sample_width)))

@@ -105,14 +105,23 @@ def write_uvarints(out: np.ndarray, positions: np.ndarray, values: np.ndarray,
     ``positions`` gives each varint's starting byte offset and ``lengths``
     its byte length, as :func:`uvarint_len_array` computes it. Returns the
     array of offsets one past each written varint. Offsets may not overlap.
+
+    Every varint's first byte is written in one scatter, its continuation
+    bit set where the length exceeds 1. The arrays then narrow to the
+    varints that have bytes left, their values shifted down by 7, and the
+    next byte of each is written the same way; after the first byte no
+    pass touches a varint that is already complete.
     """
     v = np.asarray(values, dtype=np.uint64)
-    max_len = int(lengths.max(initial=1))
-    for k in range(max_len):
-        sel = lengths > k
-        if not sel.any():
-            break
-        chunk = (v[sel] >> np.uint64(7 * k)).astype(np.uint64) & np.uint64(0x7F)
-        cont = np.where(lengths[sel] - 1 > k, np.uint64(0x80), np.uint64(0))
-        out[positions[sel] + k] = (chunk | cont).astype(np.uint8)
-    return positions + lengths
+    pos = np.asarray(positions)
+    left = np.asarray(lengths)
+    ends = pos + left
+    while v.size:
+        more = left > 1
+        out[pos] = (v & np.uint64(0x7F)).astype(np.uint8) | (
+            more.view(np.uint8) << np.uint8(7))
+        keep = np.flatnonzero(more)
+        v = v[keep] >> np.uint64(7)
+        pos = pos[keep] + 1
+        left = left[keep] - 1
+    return ends

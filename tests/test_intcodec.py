@@ -24,6 +24,38 @@ spiky_arrays = st.lists(
     min_size=1, max_size=400).map(lambda v: np.array(v, dtype=np.uint32))
 
 
+@st.composite
+def dense_exception_arrays(draw):
+    """129-1,000 values in blocks of 128 (any tail of 1-127 included).
+
+    A dense block has offsets of a 3-10 bit base width, and about 20% of
+    them spike above it by 1-5 remainder bytes (as many as fit in 32 bits).
+    A flat block is constant but for 0-3 spikes, so it codes at width 0.
+    The first block is dense; references span 1-5 varint bytes.
+    """
+    n = draw(st.integers(min_value=129, max_value=1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for i in range(0, n, BLOCK_SIZE):
+        blen = min(BLOCK_SIZE, n - i)
+        dense = i == 0 or draw(st.booleans())
+        base = draw(st.integers(min_value=3, max_value=10)) if dense else 0
+        off = rng.integers(0, 1 << base, size=blen, dtype=np.uint64)
+        nspike = (int(rng.binomial(blen, 0.2)) if dense
+                  else draw(st.integers(min_value=0, max_value=min(3, blen))))
+        at = rng.choice(blen, size=nspike, replace=False)
+        for p in at.tolist():
+            rbytes = draw(st.integers(min_value=1, max_value=5))
+            rbits = min(7 * rbytes, 32 - base)
+            low = 1 << max(rbits - 7, 0)
+            rem = int(rng.integers(low, 1 << rbits))
+            off[p] = (off[p] & ((1 << base) - 1)) | (rem << base)
+        top = (1 << 32) - 1 - int(off.max())
+        ref = int(rng.integers(0, top + 1)) >> draw(st.integers(0, 32))
+        blocks.append(off + ref)
+    return np.concatenate(blocks).astype(np.uint32)
+
+
 # ---------------------------------------------------------------------------
 # delta
 
@@ -162,6 +194,16 @@ def test_pfor_matches_scalar_reference_spiky(v):
     enc = pfor_encode(v)
     assert enc == ref_pfor_encode(v.tolist())
     assert np.array_equal(pfor_decode(enc), v)
+
+
+@given(dense_exception_arrays())
+@settings(max_examples=60, deadline=None)
+def test_pfor_dense_exceptions_match_scalar_reference(v):
+    enc = pfor_encode(v)
+    assert enc == ref_pfor_encode(v.tolist())
+    assert pfor_size(v) == len(enc)
+    assert np.array_equal(pfor_decode(enc), v)
+    assert len(next(iter_blocks(enc)).exceptions) > 0
 
 
 @given(spiky_arrays)
@@ -315,6 +357,29 @@ def test_pfor_trailing_garbage_detected():
     enc, _ = _valid_stream()
     with pytest.raises(CorruptStreamError):
         pfor_decode(enc + b"\x00")
+
+
+@pytest.mark.parametrize("ref", [128, 16383, 16384])
+def test_pfor_multibyte_references_roundtrip(ref):
+    v = _one_block(np.arange(128) % 5 + ref, ref_bytes=len(encode_uvarint(ref)))
+    enc = pfor_encode(v)
+    assert next(iter_blocks(enc)).reference == ref
+    assert np.array_equal(pfor_decode(enc), v)
+
+
+def test_pfor_overlong_two_byte_reference_rejected():
+    # n=1, reference 0 written as the two bytes 80 00, width 0, no exceptions
+    with pytest.raises(CorruptStreamError, match="overlong varint"):
+        pfor_decode(bytes([1, 0x80, 0x00, 0, 0]))
+
+
+def test_pfor_cut_after_two_byte_reference():
+    # n=1, reference 128 (80 01), width 0, no exceptions
+    enc = bytes([1, 0x80, 0x01, 0, 0])
+    assert pfor_decode(enc).tolist() == [128]
+    for cut in (3, 4):
+        with pytest.raises(TruncatedStreamError):
+            pfor_decode(enc[:cut])
 
 
 def test_pfor_bad_width_detected():

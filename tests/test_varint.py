@@ -95,6 +95,14 @@ def test_write_uvarints_matches_scalar(values):
     assert ends.tolist() == (starts + lens).tolist()
 
 
+def test_write_uvarints_empty():
+    buf = np.full(4, 0xAB, dtype=np.uint8)
+    empty = np.empty(0, dtype=np.int64)
+    ends = write_uvarints(buf, empty, np.empty(0, dtype=np.uint64), empty)
+    assert ends.size == 0
+    assert buf.tolist() == [0xAB] * 4
+
+
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1),
                 min_size=1, max_size=40))
 def test_decode_uvarints_matches_scalar(values):
