@@ -7,6 +7,7 @@ verification or corruption failure.
 
 import argparse
 import contextlib
+import itertools
 import os
 import secrets
 import shutil
@@ -305,12 +306,15 @@ def cmd_verify(args) -> int:
             return EXIT_CORRUPT
         qspec = QuantizationSpec(h.precision_um, h.sample_width)
         n = 0
-        raw_iter = rawio.read_frames(spec)
-        for scan in _decoded_scans(reader):
-            frame = next(raw_iter, None)
+        for scan, frame in itertools.zip_longest(_decoded_scans(reader),
+                                                 rawio.read_frames(spec)):
             if frame is None:
                 print(f"verify FAILED: container has more frames than "
                       f"raw input ({n} raw frames)")
+                return EXIT_CORRUPT
+            if scan is None:
+                print(f"verify FAILED: raw input has more frames than "
+                      f"container ({n})")
                 return EXIT_CORRUPT
             expect = _scan_from_raw(frame, qspec, h.scan_type)
             if not np.array_equal(scan.samples, expect.samples):
@@ -318,10 +322,6 @@ def cmd_verify(args) -> int:
                 print(f"verify FAILED: frame {n} differs (first bad row {bad})")
                 return EXIT_CORRUPT
             n += 1
-        if next(raw_iter, None) is not None:
-            print(f"verify FAILED: raw input has more frames than "
-                  f"container ({n})")
-            return EXIT_CORRUPT
     print(f"verify OK: {n} frames sample-exact")
     return EXIT_OK
 

@@ -46,7 +46,9 @@ class CodecState:
 
     Holds the last scan in the quantized domain and the mask the pipeline
     used for it. Encoder and decoder sides stay in lockstep because decoding
-    is exact.
+    is exact. The encoder keeps its own copy of each scan's samples, so the
+    caller may reuse its buffer. The decoder keeps the samples it returns
+    and makes them read-only; copy them before editing.
     """
 
     samples: np.ndarray | None = None
@@ -174,7 +176,8 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
         values = values - compact(state.samples, mask)
     enc = EncodedScan(Mode.P if is_p else Mode.I, values.size, mask_block,
                       pfor_encode(_forward(values)))
-    state.update(scan.samples, mask)
+    # a copy: the caller may refill its buffer before the next scan
+    state.update(scan.samples.copy(), mask)
     return enc
 
 
@@ -184,7 +187,8 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
 
 def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
            sample_width: int, rows: int, cols: int) -> Scan:
-    """Reconstruct a scan bit-exactly, updating ``state``.
+    """Reconstruct a scan bit-exactly, updating ``state``. The returned
+    samples are read-only: they are the reference for the next P-scan.
 
     Everything but the output geometry comes from the record itself. Raises
     CorruptStreamError whenever the record is internally inconsistent
@@ -215,6 +219,8 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
     samples = expand(values, cur_mask, dtype)
+    # the caller gets the reference itself, so it must not change under us
+    samples.flags.writeable = False
     state.update(samples, cur_mask)
     return Scan(scan_type, sample_width, samples)
 

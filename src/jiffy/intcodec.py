@@ -24,10 +24,15 @@ per-block optimum by construction.
 Encoding is two steps over uniform-length blocks (the full 128-value
 blocks together, then the shorter last block): a cost step that finds each
 block's reference, offsets, the 33-width cost matrix and the cheapest width
-and size, and a write step that lays the bytes out. :func:`pfor_size` runs
-the cost step alone and sums the sizes, so it equals
-``len(pfor_encode(values))`` without packing anything; the I/P mode trial
-sizes its test lines with it.
+and size, and a write step that lays the bytes out. Every size comes from
+the bit lengths of the block minima and offsets, taken once in the cost
+step. A reference of bit length l takes ``max(ceil(l/7), 1)`` varint bytes
+and a remainder ``ceil((l - w)/7)``; the per-width exception counts, their
+varint sizes and the packed-area sizes follow from the bit-length
+histogram. The write step reuses these sizes and measures nothing again.
+:func:`pfor_size` runs the cost step alone and sums the sizes, so it
+equals ``len(pfor_encode(values))`` without packing anything; the I/P mode
+trial sizes its test lines with it.
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -40,10 +45,8 @@ output as one contiguous row per block.
 The exceptions of all blocks are then written in one flat pass. A single
 ``np.flatnonzero`` over the offsets wider than their block's width gives
 flat indices, split into block and position by the block length; they run
-block-major, so each block's exceptions form one run in stream order. Each
-remainder's varint size comes from the cost step's bit lengths,
-``ceil((bitlen - w) / 7)``, so no value is measured again; every position
-byte goes out in one scatter and every remainder in one
+block-major, so each block's exceptions form one run in stream order.
+Every position byte goes out in one scatter and every remainder in one
 :func:`~jiffy.varint.write_uvarints` call.
 
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
@@ -60,7 +63,8 @@ work over the stream:
 * all remainder varints are decoded together and checked (at most 5 bytes,
   minimal form, nonzero, fitting in the bits above the width);
 * packed areas are unpacked per width: offset i is the 8-byte word at byte
-  ``i*w >> 3``, shifted right by ``i*w & 7`` and masked to w bits;
+  ``i*w >> 3``, shifted right by ``i*w & 7`` and masked to w bits, and the
+  block's reference is added, rejecting a sum that overflows uint32;
 * exceptions are patched in with one fancy-index add that rejects any value
   overflowing uint32.
 """
@@ -74,7 +78,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import CorruptStreamError, TruncatedStreamError
 from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
-                     uvarint_len_array, write_uvarints)
+                     write_uvarints)
 
 BLOCK_SIZE = 128
 
@@ -206,7 +210,7 @@ def _pfor_parse(data):
     # only located here; their contents are checked and applied in bulk.
     refs, widths, offs = [], [], []
     exc_bases, exc_starts, exc_counts, exc_ends = [], [], [], []
-    count_cont = buf.translate(_CONTINUATION).count
+    count_cont = None       # continuation-byte counter, built on first use
     for base in range(0, n, BLOCK_SIZE):
         blen = min(BLOCK_SIZE, n - base)
         # The reference is usually one or two bytes and the exception count
@@ -253,6 +257,8 @@ def _pfor_parse(data):
             # `need` bytes with c continuation bytes (>= 0x80) ends need - c
             # varints, so c more are still due.
             pos += exc_count
+            if count_cont is None:
+                count_cont = buf.translate(_CONTINUATION).count
             need = exc_count
             while need:
                 stop = pos + need
@@ -389,7 +395,7 @@ def _block_costs(v: np.ndarray) -> _BlockCosts:
     rem_bytes = (hist.astype(np.float64) @ _REM_BYTES_F).astype(np.int64)
     payload_bytes = (blen * np.arange(33, dtype=np.int64) + 7) // 8
 
-    ref_vlen = uvarint_len_array(refs)
+    ref_vlen = (np.maximum(_bit_lengths(refs), 1) + 6) // 7
     exc_vlen = 1 + (exc >= 128)
     cost = (ref_vlen[:, None] + 1 + exc_vlen + payload_bytes[None, :]
             + exc + rem_bytes)
@@ -473,7 +479,8 @@ def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
 
 
 def _unpack_width(words: np.ndarray, offs, width: int, blen: int, refs):
-    """Values of blocks sharing one bit width: (m,) offsets -> (m, blen).
+    """Values of blocks sharing one bit width: (m,) packed-area offsets and
+    references -> (m, blen) values, each block's reference added.
 
     Offset i of a block starts at bit i*width of its packed area: read the
     word at byte (i*width) >> 3, shift right by (i*width) & 7 and mask.
@@ -487,7 +494,13 @@ def _unpack_width(words: np.ndarray, offs, width: int, blen: int, refs):
         raw >>= (bit & 7).astype(np.uint64)
         raw &= np.uint64((1 << width) - 1)
         vals = raw.astype(np.uint32)
-    _apply_reference(vals, refs, width)
+    # Detect uint32 overflow (only corrupt streams produce it); a reference
+    # leaving room for every width-bit offset needs no per-value look.
+    if int(refs.max()) + (1 << width) - 1 > _U32_MAX:
+        risky = refs.astype(np.int64) + vals.max(axis=1) > _U32_MAX
+        if risky.any():
+            raise CorruptStreamError("block value overflows uint32")
+    vals += refs[:, None]
     return vals
 
 
@@ -532,12 +545,3 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, widths, n: int,
     out[idx] = patched
     return idx, rems
 
-
-def _apply_reference(vals: np.ndarray, refs: np.ndarray, width: int):
-    # Detect uint32 overflow (only corrupt streams produce it); a reference
-    # leaving room for every width-bit offset needs no per-value look.
-    if int(refs.max()) + (1 << width) - 1 > _U32_MAX:
-        risky = refs.astype(np.int64) + vals.max(axis=1) > _U32_MAX
-        if risky.any():
-            raise CorruptStreamError("block value overflows uint32")
-    vals += refs[:, None]

@@ -83,28 +83,14 @@ def decode_uvarints(data: np.ndarray, max_len: int) -> np.ndarray:
     return values
 
 
-def uvarint_len_array(values: np.ndarray) -> np.ndarray:
-    """Encoded lengths for an array of nonnegative integers (any uint dtype)."""
-    v = np.asarray(values, dtype=np.uint64)
-    lens = np.ones(v.shape, dtype=np.int64)
-    threshold = np.uint64(1 << 7)
-    while True:
-        mask = v >= threshold
-        if not mask.any():
-            return lens
-        lens[mask] += 1
-        if int(threshold) >= 1 << 63:
-            return lens
-        threshold = np.uint64(int(threshold) << 7)
-
-
 def write_uvarints(out: np.ndarray, positions: np.ndarray, values: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """Write one varint per element of ``values`` into the uint8 array ``out``.
 
     ``positions`` gives each varint's starting byte offset and ``lengths``
-    its byte length, as :func:`uvarint_len_array` computes it. Returns the
-    array of offsets one past each written varint. Offsets may not overlap.
+    its byte length, ``max(ceil(bit_length / 7), 1)``, which the caller
+    works out. Returns the array of offsets one past each written varint.
+    Offsets may not overlap.
 
     Every varint's first byte is written in one scatter, its continuation
     bit set where the length exceeds 1. The arrays then narrow to the

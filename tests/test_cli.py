@@ -151,6 +151,24 @@ def test_verify_detects_mismatched_input(tmp_path, corpus, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("raw_frames,message", [
+    (3, "container has more frames than raw input (3 raw frames)"),
+    (5, "raw input has more frames than container (4)"),
+])
+def test_verify_detects_frame_count_mismatch(tmp_path, corpus, capsys,
+                                             raw_frames, message):
+    jfy = tmp_path / "seq.jfy"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    frame_bytes = 16 * 64 * 4
+    data = corpus.read_bytes()
+    other = tmp_path / "other.f32"
+    other.write_bytes((data + data)[:raw_frames * frame_bytes])
+    capsys.readouterr()
+    assert run("verify", "--input", other, "--shape", "16x64",
+               "--container", jfy) == 2
+    assert f"verify FAILED: {message}" in capsys.readouterr().out
+
+
 def test_corrupt_container_reports_frame_and_exits_2(tmp_path, corpus, capsys):
     jfy = tmp_path / "seq.jfy"
     run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)

@@ -403,6 +403,31 @@ def test_mode_policies_decode_identically(seed):
         assert all(a == b for a, b in zip(decoded, scans))
 
 
+def test_encode_through_reused_buffer_decodes_exactly():
+    # the encoder's reference must not follow the caller's buffer
+    rng = np.random.default_rng(5)
+    base = rng.integers(1000, 2000, size=(8, 64), dtype=np.uint16)
+    frames = [base + rng.integers(0, 4, base.shape, dtype=np.uint16)
+              for _ in range(4)]
+    buf = np.empty_like(base)
+    est = CodecState()
+    encs = []
+    for f in frames:
+        buf[...] = f
+        encs.append(encode(mkscan(buf), est, Mode.P))
+    dst = CodecState()
+    for e, f in zip(encs, frames):
+        assert np.array_equal(roundtrip(e, dst, mkscan(f)).samples, f)
+
+
+def test_decoded_samples_are_read_only():
+    rng = np.random.default_rng(6)
+    scan = rand_scan(rng, 4, 16)
+    out = roundtrip(encode(scan, CodecState()), CodecState(), scan)
+    with pytest.raises(ValueError):
+        out.samples[0, 0] = 1
+
+
 # ---------------------------------------------------------------------------
 # decode error paths
 

@@ -179,6 +179,19 @@ def test_pfor_tail_block():
     assert np.array_equal(pfor_decode(enc), v)
 
 
+@pytest.mark.parametrize("n", [256, 300])
+def test_pfor_exceptions_only_in_last_block(n):
+    # the header walk meets its first exception area at the final block
+    v = np.arange(n, dtype=np.uint32) % 16
+    v[-3] = 1_000_000
+    v[-1] = 70_000
+    enc = pfor_encode(v)
+    assert enc == ref_pfor_encode(v.tolist())
+    excs = [b.exceptions for b in iter_blocks(enc)]
+    assert not any(excs[:-1]) and len(excs[-1]) == 2
+    assert np.array_equal(pfor_decode(enc), v)
+
+
 @given(u32_arrays)
 @settings(max_examples=150)
 def test_pfor_matches_scalar_reference(v):

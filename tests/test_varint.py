@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from jiffy.errors import CorruptStreamError, TruncatedStreamError
 from jiffy.varint import (decode_uvarint, decode_uvarints, encode_uvarint,
-                          uvarint_len_array, write_uvarints)
+                          write_uvarints)
 
 from .refimpl import ref_varint
 
@@ -25,8 +25,6 @@ KNOWN = [
 def test_known_encodings(value, encoded):
     assert encode_uvarint(value) == encoded
     assert decode_uvarint(encoded) == (value, len(encoded))
-    assert uvarint_len_array(np.array([value], dtype=np.uint64)).tolist() \
-        == [len(encoded)]
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
@@ -75,18 +73,10 @@ def test_decode_mid_buffer():
 
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                min_size=0, max_size=50))
-def test_len_array(values):
-    arr = np.array(values, dtype=np.uint64)
-    expect = [len(encode_uvarint(v)) for v in values]
-    assert uvarint_len_array(arr).tolist() == expect
-
-
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
                 min_size=1, max_size=40))
 def test_write_uvarints_matches_scalar(values):
     arr = np.array(values, dtype=np.uint64)
-    lens = uvarint_len_array(arr)
+    lens = np.array([len(encode_uvarint(v)) for v in values], dtype=np.int64)
     starts = np.zeros(len(values), dtype=np.int64)
     np.cumsum(lens[:-1], out=starts[1:])
     buf = np.zeros(int(lens.sum()), dtype=np.uint8)
