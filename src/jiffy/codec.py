@@ -46,9 +46,9 @@ class CodecState:
 
     Holds the last scan in the quantized domain and the mask the pipeline
     used for it. Encoder and decoder sides stay in lockstep because decoding
-    is exact. The encoder keeps its own copy of each scan's samples, so the
-    caller may reuse its buffer. The decoder keeps the samples it returns
-    and makes them read-only; copy them before editing.
+    is exact. Each side keeps its own copy of the samples, so the encoder's
+    caller may reuse its buffer and the decoder's caller may edit what it
+    gets back.
     """
 
     samples: np.ndarray | None = None
@@ -187,8 +187,7 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
 
 def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
            sample_width: int, rows: int, cols: int) -> Scan:
-    """Reconstruct a scan bit-exactly, updating ``state``. The returned
-    samples are read-only: they are the reference for the next P-scan.
+    """Reconstruct a scan bit-exactly, updating ``state``.
 
     Everything but the output geometry comes from the record itself. Raises
     CorruptStreamError whenever the record is internally inconsistent
@@ -219,9 +218,8 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
     samples = expand(values, cur_mask, dtype)
-    # the caller gets the reference itself, so it must not change under us
-    samples.flags.writeable = False
-    state.update(samples, cur_mask)
+    # a copy: the caller may edit the samples it gets back
+    state.update(samples.copy(), cur_mask)
     return Scan(scan_type, sample_width, samples)
 
 
