@@ -52,19 +52,25 @@ Every position byte goes out in one scatter and every remainder in one
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
 both read (the exceptions it patches in are also the ones
 :func:`iter_blocks` reports). It walks the block headers in Python once per
-block: reference, width and exception count are read and range-checked, and
-each block's exception area is skipped, not decoded, by counting varint
-terminator bytes with ``bytes.count`` (a few C-level counts per block,
-whatever the number of exceptions). Everything else is whole-array numpy
-work over the stream:
+block and keeps one record per block: reference, width, packed-area
+offset, exception count and the end of the exception area. The header
+fields are range-checked as they are read, and each exception area is
+skipped, not decoded, by counting varint terminator bytes with
+``bytes.count`` (a few C-level counts per block, whatever the number of
+exceptions). Everything else is whole-array numpy work over the stream:
 
-* all exception positions are gathered at once and checked (below the
-  block length, strictly increasing within the block);
+* every packed area is read as a full row of 128 offsets in one gather of
+  4-byte little-endian words: offset i is the word at byte ``i*w >> 3``,
+  shifted right by ``i*w & 7`` and masked to w bits, which fits 32 bits up
+  to width 25. Blocks of width 26-32 are read again with 8-byte words. The
+  stream is padded with zero bytes, so the short last block is read as a
+  full row too, and its lanes past the end are zeroed. Each block's
+  reference is added, rejecting a sum that overflows uint32;
+* the blocks with exceptions are picked from the records; all their
+  positions are gathered at once and checked (below the block length,
+  strictly increasing within the block);
 * all remainder varints are decoded together and checked (at most 5 bytes,
   minimal form, nonzero, fitting in the bits above the width);
-* packed areas are unpacked per width: offset i is the 8-byte word at byte
-  ``i*w >> 3``, shifted right by ``i*w & 7`` and masked to w bits, and the
-  block's reference is added, rejecting a sum that overflows uint32;
 * exceptions are patched in with one fancy-index add that rejects any value
   overflowing uint32.
 """
@@ -74,7 +80,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CorruptStreamError, TruncatedStreamError
 from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
@@ -83,6 +89,10 @@ from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
 BLOCK_SIZE = 128
 
 _U32_MAX = 0xFFFFFFFF
+
+# Zero bytes after the stream: a full row of 128 offsets at width 32 from
+# the last packed area, and one 8-byte word past it.
+_ROW_PAD = BLOCK_SIZE * 32 // 8 + 8
 
 # bytes.translate table: 1 for varint continuation bytes (>= 0x80), else 0
 _CONTINUATION = bytes(b >> 7 for b in range(256))
@@ -206,13 +216,16 @@ def _pfor_parse(data):
     if n > (total // 3 + 1) * BLOCK_SIZE:
         raise CorruptStreamError("value count larger than stream could hold")
 
-    # Header walk: per-block geometry, O(1) per block. Exception areas are
+    # Header walk: one record per block, O(1) per block. Exception areas are
     # only located here; their contents are checked and applied in bulk.
-    refs, widths, offs = [], [], []
-    exc_bases, exc_starts, exc_counts, exc_ends = [], [], [], []
+    refs, widths, offs, counts, ends = [], [], [], [], []
+    add_ref, add_width, add_off, add_count, add_end = (
+        refs.append, widths.append, offs.append, counts.append, ends.append)
     count_cont = None       # continuation-byte counter, built on first use
-    for base in range(0, n, BLOCK_SIZE):
-        blen = min(BLOCK_SIZE, n - base)
+    blens = [BLOCK_SIZE] * (n // BLOCK_SIZE)
+    if n % BLOCK_SIZE:
+        blens.append(n % BLOCK_SIZE)
+    for blen in blens:
         # The reference is usually one or two bytes and the exception count
         # one: read those inline and leave other varints (an overlong
         # second byte 0x00 among them) to decode_uvarint.
@@ -242,31 +255,26 @@ def _pfor_parse(data):
             exc_count, pos = decode_uvarint(buf, pos + 1)
         if exc_count > blen:
             raise CorruptStreamError("exception count exceeds block length")
-        nbytes = (blen * width + 7) // 8
-        if pos + nbytes > total:
+        add_ref(ref)
+        add_width(width)
+        add_off(pos)
+        add_count(exc_count)
+        # the packed area and one position byte per exception
+        pos += (blen * width + 7) // 8 + exc_count
+        if pos > total:
             raise TruncatedStreamError("truncated block payload")
-        refs.append(ref)
-        widths.append(width)
-        offs.append(pos)
-        pos += nbytes
-        if exc_count:
-            exc_bases.append(base)
-            exc_starts.append(pos)
-            exc_counts.append(exc_count)
-            # Skip the position bytes, then the remainder varints: a range of
-            # `need` bytes with c continuation bytes (>= 0x80) ends need - c
-            # varints, so c more are still due.
-            pos += exc_count
+        # Skip the remainder varints: a range of `need` bytes with c
+        # continuation bytes ends need - c varints, so c more are still due.
+        need = exc_count
+        while need:
+            stop = pos + need
+            if stop > total:
+                raise TruncatedStreamError("truncated exception area")
             if count_cont is None:
                 count_cont = buf.translate(_CONTINUATION).count
-            need = exc_count
-            while need:
-                stop = pos + need
-                if stop > total:
-                    raise TruncatedStreamError("truncated exception area")
-                need = count_cont(1, pos, stop)
-                pos = stop
-            exc_ends.append(pos)
+            need = count_cont(1, pos, stop)
+            pos = stop
+        add_end(pos)
     if pos != total:
         raise CorruptStreamError("trailing bytes after final block")
     refs = np.asarray(refs, dtype=np.uint32)
@@ -281,15 +289,17 @@ def _pfor_parse(data):
     if bits & 7 and buf[offs[-1] + (bits >> 3)] >> (bits & 7):
         raise CorruptStreamError("nonzero padding bits in packed area")
 
-    # Seven zero bytes of padding let every packed offset be read as one
-    # little-endian 8-byte word.
-    arr = np.frombuffer(buf + bytes(7), dtype=np.uint8)
-    out = _unpack_blocks(arr, refs, widths, np.asarray(offs, dtype=np.int64), n)
-    if exc_bases:
+    # Zero padding lets every block, the short last one too, be read as a
+    # full row of 128 offsets, each one little-endian word.
+    arr = np.frombuffer(buf + bytes(_ROW_PAD), dtype=np.uint8)
+    offs = np.asarray(offs, dtype=np.int64)
+    out = _unpack_blocks(arr, refs, widths, offs, n)
+    counts = np.asarray(counts, dtype=np.int64)
+    blocks = np.flatnonzero(counts)
+    if blocks.size:
         exc_idx, exc_rems = _patch_exceptions(
-            arr, out, widths, n,
-            *(np.asarray(a, dtype=np.int64) for a in
-              (exc_bases, exc_starts, exc_counts, exc_ends)))
+            arr, out, n, blocks, widths[blocks], offs[blocks], counts[blocks],
+            np.asarray(ends, dtype=np.int64)[blocks])
     return out, refs, widths, exc_idx, exc_rems
 
 
@@ -455,72 +465,62 @@ def _write_blocks(c: _BlockCosts) -> bytes:
 
 
 def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
-    """Unpack every block's packed area and add its reference.
+    """Unpack every block's packed area as a row of 128 offsets and add its
+    reference (see the module docstring); returns the first n values.
 
-    ``arr`` is the stream with 7 bytes of zero padding. Full blocks are
-    unpacked together per bit width, then the tail block on its own.
+    ``arr`` is the stream with ``_ROW_PAD`` zero bytes of padding.
     """
-    out = np.empty(n, dtype=np.uint32)
-    # words[i] = the 8 bytes from offset i as a little-endian integer
-    words = sliding_window_view(arr, 8).view("<u8")[:, 0]
-    nfull = n // BLOCK_SIZE
-    if nfull:
-        view = out[:nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE)
-        fw = widths[:nfull]
-        for width in np.unique(fw):
-            sel = np.flatnonzero(fw == width)
-            view[sel] = _unpack_width(words, offs[sel], int(width), BLOCK_SIZE,
-                                      refs[sel])
-    tail = n - nfull * BLOCK_SIZE
-    if tail:
-        out[nfull * BLOCK_SIZE:] = _unpack_width(words, offs[-1:], int(widths[-1]),
-                                                 tail, refs[-1:])[0]
-    return out
-
-
-def _unpack_width(words: np.ndarray, offs, width: int, blen: int, refs):
-    """Values of blocks sharing one bit width: (m,) packed-area offsets and
-    references -> (m, blen) values, each block's reference added.
-
-    Offset i of a block starts at bit i*width of its packed area: read the
-    word at byte (i*width) >> 3, shift right by (i*width) & 7 and mask.
-    """
-    if width == 0:
-        vals = np.zeros((offs.size, blen), dtype=np.uint32)
-    else:
-        bit = np.arange(blen, dtype=np.int64) * width
-        # take() copes with the unaligned words far faster than [] does
-        raw = words.take(offs[:, None] + (bit >> 3))
-        raw >>= (bit & 7).astype(np.uint64)
-        raw &= np.uint64((1 << width) - 1)
-        vals = raw.astype(np.uint32)
+    # reuse the (nblk, 128) temporaries: fresh pages cost more than the math
+    shift = widths.astype(np.uint32)[:, None] * np.arange(BLOCK_SIZE,
+                                                          dtype=np.uint32)
+    at = np.right_shift(shift, 3, dtype=np.int64)
+    at += offs[:, None]
+    shift &= 7
+    mask = ((1 << widths) - 1).astype(np.uint32)
+    # words[i] = the 4 bytes from offset i as a little-endian integer;
+    # take() copes with the unaligned words far faster than [] does. Up to
+    # width 25, 7 shift bits and the offset fit one.
+    words = np.ndarray((arr.size - 3,), "<u4", arr, 0, (1,))
+    vals = words.take(at)
+    vals >>= shift
+    vals &= mask[:, None]
+    wide = np.flatnonzero(widths > 25)
+    if wide.size:
+        words = np.ndarray((arr.size - 7,), "<u8", arr, 0, (1,))
+        raw = words.take(at[wide])
+        raw >>= shift[wide].astype(np.uint64)
+        raw &= mask[wide, None].astype(np.uint64)
+        vals[wide] = raw
+    # the last block's lanes past the end read whatever bytes follow it
+    vals[-1, n - (widths.size - 1) * BLOCK_SIZE:] = 0
     # Detect uint32 overflow (only corrupt streams produce it); a reference
     # leaving room for every width-bit offset needs no per-value look.
-    if int(refs.max()) + (1 << width) - 1 > _U32_MAX:
-        risky = refs.astype(np.int64) + vals.max(axis=1) > _U32_MAX
-        if risky.any():
-            raise CorruptStreamError("block value overflows uint32")
+    risky = np.flatnonzero(refs.astype(np.int64) + mask > _U32_MAX)
+    if risky.size and np.any(refs[risky].astype(np.int64)
+                             + vals[risky].max(axis=1) > _U32_MAX):
+        raise CorruptStreamError("block value overflows uint32")
     vals += refs[:, None]
-    return vals
+    return vals.reshape(-1)[:n]
 
 
-def _patch_exceptions(arr: np.ndarray, out: np.ndarray, widths, n: int,
-                      bases, starts, counts, ends):
+def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,
+                      widths, offs, counts, ends):
     """Check and apply every exception of the stream in one pass; returns
     their value indices (increasing) and remainders.
 
-    One entry per block with exceptions: the index of its first value,
-    where its position bytes start, how many there are, and where its
-    remainder varints end.
+    One entry per block with exceptions: its index, width, packed-area
+    offset, exception count and where its remainder varints end.
     """
+    blens = np.minimum(BLOCK_SIZE, n - blocks * BLOCK_SIZE)
+    starts = offs + (blens * widths + 7) // 8       # position bytes
     nexc = int(counts.sum())
     first = np.cumsum(counts) - counts              # block's first exception
-    positions = arr[np.arange(nexc) + np.repeat(starts - first, counts)] \
-        .astype(np.int64)
-    step = np.diff(positions)
-    step[first[1:] - 1] = 1                         # a new block may restart
-    blen = np.repeat(np.minimum(BLOCK_SIZE, n - bases), counts)
-    if np.any(step <= 0) or np.any(positions >= blen):
+    positions = arr[np.arange(nexc) + np.repeat(starts - first, counts)]
+    # Each position must exceed its predecessor, but a block's first may
+    # restart; a rising block is in range when its last position is.
+    rising = positions[1:] > positions[:-1]
+    rising[first[1:] - 1] = True
+    if not rising.all() or np.any(positions[first + counts - 1] >= blens):
         raise CorruptStreamError("exception positions not strictly "
                                  "increasing within block")
 
@@ -534,14 +534,13 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, widths, n: int,
     rems = decode_uvarints(rem_bytes, 5)
     if not rems.all():
         raise CorruptStreamError("zero exception remainder")
-    shift = np.repeat(widths[bases // BLOCK_SIZE], counts).astype(np.uint64)
+    shift = np.repeat(widths.astype(np.uint64), counts)
     if np.any(rems > np.uint64(_U32_MAX) >> shift):
         raise CorruptStreamError("exception remainder overflows uint32")
 
-    idx = np.repeat(bases, counts) + positions
-    patched = out[idx].astype(np.uint64) + (rems << shift)
+    idx = np.repeat(blocks * BLOCK_SIZE, counts) + positions
+    patched = out[idx] + (rems << shift)            # uint64: no wrap
     if patched.max() > _U32_MAX:
         raise CorruptStreamError("patched value overflows uint32")
     out[idx] = patched
     return idx, rems
-

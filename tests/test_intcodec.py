@@ -349,6 +349,38 @@ def test_pfor_every_width_roundtrips(width, n):
                                for _, rem in b.exceptions)
 
 
+def _mixed_width_stream(tail):
+    """Full blocks at widths 0, 7, 25, 26 and 32 (the first four with
+    exceptions), a block of 0xFFFFFFFF at width 0, then a 77-value tail."""
+    rng = np.random.default_rng(1577)
+    blocks = [_width_case(w, BLOCK_SIZE, 1, rng) for w in (0, 7, 25, 26, 32)]
+    blocks.append(np.full(BLOCK_SIZE, 0xFFFFFFFF, dtype=np.uint32))
+    if tail == "exceptions":
+        blocks.append(_width_case(7, 77, 1, rng))
+    else:
+        # 7-bit offsets under a reference 100 below the top of uint32: the
+        # reference leaves no room for every 7-bit offset, so the decoder's
+        # overflow check reads this last row
+        off = rng.integers(64, 101, size=77, dtype=np.uint32)
+        off[1] = 0
+        blocks.append(off + np.uint32(0xFFFFFFFF - 100))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("tail", ["exceptions", "near_top"])
+def test_pfor_mixed_widths_and_tail_roundtrip(tail):
+    v = _mixed_width_stream(tail)
+    enc = pfor_encode(v)
+    assert enc == ref_pfor_encode(v.tolist())
+    blocks = _block_tuples(enc)
+    assert blocks == ref_iter_blocks(enc)
+    assert [b[1] for b in blocks] == [0, 7, 25, 26, 32, 0, 7]
+    assert [b[0] for b in blocks][-2:] == [0xFFFFFFFF, int(v[-77:].min())]
+    assert len(blocks[-1][3]) == (2 if tail == "exceptions" else 0)
+    got = pfor_decode(enc)
+    assert got.dtype == np.uint32 and np.array_equal(got, v)
+
+
 # --- malformed streams -----------------------------------------------------
 
 
@@ -591,6 +623,64 @@ def test_pfor_decode_matches_strict_oracle_under_mutation():
         accepted += want is not None
     # flips inside packed areas keep a stream valid: both sides get exercised
     assert 300 < accepted < 2700
+
+
+def _dense_exception_case(n, rng):
+    """The fixed-seed counterpart of ``dense_exception_arrays``: every block
+    dense (3-10 bit offsets, 3 in the first block, about 20% of them spiking by 1-5 remainder
+    bytes, at least one per block, the short last one included) under
+    references of 1-5 varint bytes in turn."""
+    blocks = []
+    for i in range(0, n, BLOCK_SIZE):
+        blen = min(BLOCK_SIZE, n - i)
+        base = 3 if i == 0 else int(rng.integers(3, 11))
+        off = rng.integers(0, 1 << base, size=blen, dtype=np.uint64)
+        off[0] = 0
+        at = rng.choice(np.arange(1, blen), replace=False,
+                        size=max(1, int(rng.binomial(blen - 1, 0.2))))
+        for p in at.tolist():
+            rbits = min(7 * int(rng.integers(1, 6)), 32 - base)
+            rem = int(rng.integers(1 << max(rbits - 7, 0), 1 << rbits))
+            off[p] = (off[p] & ((1 << base) - 1)) | (rem << base)
+        # the reference takes ref_bytes varint bytes at most, rising
+        # block by block
+        ref_bytes = 1 + (i // BLOCK_SIZE + n) % 5
+        top = (1 << 32) - 1 - int(off.max())
+        ref = int(rng.integers(0, top + 1)) >> max(32 - 7 * ref_bytes, 0)
+        blocks.append(off + ref)
+    return np.concatenate(blocks).astype(np.uint32)
+
+
+def test_pfor_decode_matches_strict_oracle_on_dense_exceptions():
+    rng = np.random.default_rng(1573)
+    streams = [pfor_encode(_dense_exception_case(n, rng))
+               for n in (140, 333, 517)]
+    ref_sizes, rem_sizes = set(), set()
+    for enc in streams:
+        for b in iter_blocks(enc):
+            ref_sizes.add(len(encode_uvarint(b.reference)))
+            rem_sizes.update(len(encode_uvarint(r)) for _, r in b.exceptions)
+    assert ref_sizes == rem_sizes == {1, 2, 3, 4, 5}
+    # 128 exceptions in one block, a count written as the 2-byte varint
+    # 80 01; the encoder never writes it, since a block minimum is no
+    # exception
+    full = bytes([0x80, 0x01, 0, 0, 0x80, 0x01]) + bytes(range(128)) \
+        + b"\x01" * 128
+    assert pfor_decode(full).tolist() == ref_pfor_decode_strict(full) \
+        == [1] * 128
+    streams.append(full)
+    for enc in streams:
+        assert _lib_or_none(enc) == _strict_or_none(enc) is not None
+        for cut in range(len(enc)):
+            assert _lib_or_none(enc[:cut]) is None
+            assert _strict_or_none(enc[:cut]) is None
+    accepted = 0
+    for i in range(4000):
+        bad = _mutate(streams[i % len(streams)], rng)
+        want = _strict_or_none(bad)
+        assert _lib_or_none(bad) == want, bad.hex()
+        accepted += want is not None
+    assert 400 < accepted < 3600
 
 
 # ---------------------------------------------------------------------------
