@@ -627,9 +627,9 @@ def test_pfor_decode_matches_strict_oracle_under_mutation():
 
 def _dense_exception_case(n, rng):
     """The fixed-seed counterpart of ``dense_exception_arrays``: every block
-    dense (3-10 bit offsets, 3 in the first block, about 20% of them spiking by 1-5 remainder
-    bytes, at least one per block, the short last one included) under
-    references of 1-5 varint bytes in turn."""
+    dense (3-10 bit offsets, 3 in the first block; about 20% of them spike
+    by 1-5 remainder bytes, at least one per block, the short last one
+    included) under references of 1-5 varint bytes in turn."""
     blocks = []
     for i in range(0, n, BLOCK_SIZE):
         blen = min(BLOCK_SIZE, n - i)
@@ -642,8 +642,8 @@ def _dense_exception_case(n, rng):
             rbits = min(7 * int(rng.integers(1, 6)), 32 - base)
             rem = int(rng.integers(1 << max(rbits - 7, 0), 1 << rbits))
             off[p] = (off[p] & ((1 << base) - 1)) | (rem << base)
-        # the reference takes ref_bytes varint bytes at most, rising
-        # block by block
+        # the reference takes at most ref_bytes varint bytes, cycling
+        # through 1-5 from block to block
         ref_bytes = 1 + (i // BLOCK_SIZE + n) % 5
         top = (1 << 32) - 1 - int(off.max())
         ref = int(rng.integers(0, top + 1)) >> max(32 - 7 * ref_bytes, 0)
