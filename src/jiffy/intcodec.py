@@ -59,13 +59,14 @@ skipped, not decoded, by counting varint terminator bytes with
 ``bytes.count`` (a few C-level counts per block, whatever the number of
 exceptions). Everything else is whole-array numpy work over the stream:
 
-* every packed area is read as a full row of 128 offsets in one gather of
-  4-byte little-endian words: offset i is the word at byte ``i*w >> 3``,
-  shifted right by ``i*w & 7`` and masked to w bits, which fits 32 bits up
-  to width 25. Blocks of width 26-32 are read again with 8-byte words. The
-  stream is padded with zero bytes, so the short last block is read as a
-  full row too, and its lanes past the end are zeroed. Each block's
-  reference is added, rejecting a sum that overflows uint32;
+* every packed area is read as a full row of 128 offsets in one gather:
+  offset i is the little-endian word at byte ``i*w >> 3``, shifted right
+  by ``i*w & 7`` and masked to w bits. The words are 4 bytes (7 shift
+  bits plus up to 25 value bits) unless the stream has a block of width
+  26-32; then they are 8 bytes. The stream is padded with zero bytes, so
+  the short last block is read as a full row too, and its lanes past the
+  end are cut off. Each block's reference is added, rejecting a sum that
+  overflows uint32;
 * the blocks with exceptions are picked from the records; all their
   positions are gathered at once and checked (below the block length,
   strictly increasing within the block);
@@ -470,29 +471,23 @@ def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
 
     ``arr`` is the stream with ``_ROW_PAD`` zero bytes of padding.
     """
+    # A 4-byte word holds 7 shift bits and up to 25 value bits; a stream
+    # with a wider block is read with 8-byte words throughout.
+    word = np.dtype("<u4" if widths.max() <= 25 else "<u8")
     # reuse the (nblk, 128) temporaries: fresh pages cost more than the math
     shift = widths.astype(np.uint32)[:, None] * np.arange(BLOCK_SIZE,
                                                           dtype=np.uint32)
     at = np.right_shift(shift, 3, dtype=np.int64)
     at += offs[:, None]
     shift &= 7
-    mask = ((1 << widths) - 1).astype(np.uint32)
-    # words[i] = the 4 bytes from offset i as a little-endian integer;
-    # take() copes with the unaligned words far faster than [] does. Up to
-    # width 25, 7 shift bits and the offset fit one.
-    words = np.ndarray((arr.size - 3,), "<u4", arr, 0, (1,))
+    mask = (1 << widths) - 1
+    # words[i] = the word at byte i; take() copes with the unaligned words
+    # far faster than [] does
+    words = np.ndarray((arr.size - word.itemsize + 1,), word, arr, 0, (1,))
     vals = words.take(at)
     vals >>= shift
-    vals &= mask[:, None]
-    wide = np.flatnonzero(widths > 25)
-    if wide.size:
-        words = np.ndarray((arr.size - 7,), "<u8", arr, 0, (1,))
-        raw = words.take(at[wide])
-        raw >>= shift[wide].astype(np.uint64)
-        raw &= mask[wide, None].astype(np.uint64)
-        vals[wide] = raw
-    # the last block's lanes past the end read whatever bytes follow it
-    vals[-1, n - (widths.size - 1) * BLOCK_SIZE:] = 0
+    vals &= mask.astype(word)[:, None]
+    vals = vals.astype(np.uint32, copy=False)
     # Detect uint32 overflow (only corrupt streams produce it); a reference
     # leaving room for every width-bit offset needs no per-value look.
     risky = np.flatnonzero(refs.astype(np.int64) + mask > _U32_MAX)
