@@ -109,14 +109,6 @@ class EncodedScan:
 
 
 # ---------------------------------------------------------------------------
-# value pipeline
-
-
-def _forward(values: np.ndarray) -> np.ndarray:
-    return zigzag_wrap(delta_wrap(values))
-
-
-# ---------------------------------------------------------------------------
 # encode
 
 
@@ -145,10 +137,10 @@ def select_mode(scan: Scan, state: CodecState) -> Mode:
     prev_rows = state.samples[idx]
 
     mask = extract_mask(cur_rows)
-    cur = compact(cur_rows, mask)
-    i_bytes = pfor_size(_forward(cur))
-    residuals = cur - compact(prev_rows, mask)
-    p_bytes = pfor_size(_forward(residuals))
+    # the I and P trial streams as two rows, through one pipeline pass
+    residuals = np.subtract(cur_rows, prev_rows, dtype=np.uint32)
+    trial = np.stack([compact(cur_rows, mask), compact(residuals, mask)])
+    i_bytes, p_bytes = pfor_size(zigzag_wrap(delta_wrap(trial)))
     return Mode.P if p_bytes < i_bytes else Mode.I
 
 
@@ -165,17 +157,16 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
     if mode is None:
         mode = select_mode(scan, state)
     is_p = mode == Mode.P and state.samples is not None
-    mask_bits = mask
+    mask_bits, values = mask, scan.samples
     if is_p:
         _check_shape(scan, state)
         mask_bits = xor_mask(mask, state.mask)
+        # residuals against the previous scan; uint32 wraps
+        values = np.subtract(values, state.samples, dtype=np.uint32)
     mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
-    values = compact(scan.samples, mask)
-    if is_p:
-        # previous scan under the current mask; uint32 residuals wrap
-        values = values - compact(state.samples, mask)
+    values = compact(values, mask)
     enc = EncodedScan(Mode.P if is_p else Mode.I, values.size, mask_block,
-                      pfor_encode(_forward(values)))
+                      pfor_encode(zigzag_wrap(delta_wrap(values))))
     # a copy: the caller may refill its buffer before the next scan
     state.update(scan.samples.copy(), mask)
     return enc
@@ -204,9 +195,7 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     if enc.value_count != clear:
         raise CorruptStreamError(
             f"value count {enc.value_count} does not match mask ({clear})")
-    codes = pfor_decode(enc.value_block)
-    if codes.size != clear:
-        raise CorruptStreamError("value block count mismatch")
+    codes = pfor_decode(enc.value_block, clear)
     values = zigzag_unwrap(codes)
     if not (is_p and enc.residual_plain):   # mode bit1 counts on P-scans only
         values = delta_unwrap(values)

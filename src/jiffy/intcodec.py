@@ -22,17 +22,19 @@ breaking ties toward the smaller width, so the emitted size is the format's
 per-block optimum by construction.
 
 Encoding is two steps over uniform-length blocks (the full 128-value
-blocks together, then the shorter last block): a cost step that finds each
-block's reference, offsets, the 33-width cost matrix and the cheapest width
-and size, and a write step that lays the bytes out. Every size comes from
-the bit lengths of the block minima and offsets, taken once in the cost
-step. A reference of bit length l takes ``max(ceil(l/7), 1)`` varint bytes
-and a remainder ``ceil((l - w)/7)``; the per-width exception counts, their
-varint sizes and the packed-area sizes follow from the bit-length
-histogram. The write step reuses these sizes and measures nothing again.
-:func:`pfor_size` runs the cost step alone and sums the sizes, so it
-equals ``len(pfor_encode(values))`` without packing anything; the I/P mode
-trial sizes its test lines with it.
+blocks together, then the shorter last blocks): a cost step that finds each
+block's reference, offsets and cheapest width, and a write step that lays
+the bytes out. Every size comes from the int32 bit lengths of the block
+minima and offsets, taken once in the cost step. A reference of bit length
+l takes ``max(ceil(l/7), 1)`` varint bytes. At width w < l an offset costs
+a position byte and ``ceil((l - w)/7)`` remainder bytes, so one float64
+matmul of the per-block bit-length histogram against that 33x33 table, plus
+the packed-area bytes, costs all 33 widths, and ``argmin`` keeps the
+cheapest. The exception count is one byte: a block minimum is offset 0, so
+a block has at most 127 exceptions. :func:`pfor_size` runs the cost step
+alone, so it equals ``len(pfor_encode(row))`` for each row of its input
+without packing anything; the I/P mode trial sizes its two test streams,
+two rows of one array, with it.
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -46,7 +48,9 @@ The exceptions of all blocks are then written in one flat pass. A single
 ``np.flatnonzero`` over the offsets wider than their block's width gives
 flat indices, split into block and position by the block length; they run
 block-major, so each block's exceptions form one run in stream order.
-Every position byte goes out in one scatter and every remainder in one
+The width bytes and the exception counts, read at each block's width off
+one forward cumsum of the histogram, go out in two scatters, every
+position byte in one more, and every remainder in one
 :func:`~jiffy.varint.write_uvarints` call.
 
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
@@ -98,11 +102,11 @@ _ROW_PAD = BLOCK_SIZE * 32 // 8 + 8
 # bytes.translate table: 1 for varint continuation bytes (>= 0x80), else 0
 _CONTINUATION = bytes(b >> 7 for b in range(256))
 
-# Remainder varint bytes by (offset bit length, candidate width): ceil((l-b)/7).
+# Exception bytes by (offset bit length l, candidate width w): a position
+# byte and ceil((l - w)/7) remainder bytes where l > w, else none.
 _L = np.arange(33)
-_REM_BYTES = np.where(_L[:, None] > _L[None, :],
-                      (_L[:, None] - _L[None, :] + 6) // 7, 0).astype(np.int64)
-_REM_BYTES_F = _REM_BYTES.astype(np.float64)
+_EXC_BYTES = np.where(_L[:, None] > _L, 1 + (_L[:, None] - _L + 6) // 7,
+                      0).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +114,13 @@ _REM_BYTES_F = _REM_BYTES.astype(np.float64)
 
 
 def delta_wrap(values: np.ndarray) -> np.ndarray:
-    """Modular uint32 delta: out[i] = (v[i] - v[i-1]) mod 2^32, v[-1] = 0."""
+    """Modular uint32 delta along the last axis: out[i] = (v[i] - v[i-1])
+    mod 2^32, v[-1] = 0."""
     v = _as_u32(values)
-    return np.diff(v, prepend=np.uint32(0))
+    out = np.empty_like(v)
+    out[..., :1] = v[..., :1]
+    np.subtract(v[..., 1:], v[..., :-1], out=out[..., 1:])
+    return out
 
 
 def delta_unwrap(deltas: np.ndarray) -> np.ndarray:
@@ -128,14 +136,17 @@ def delta_unwrap(deltas: np.ndarray) -> np.ndarray:
 def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
     """ZigZag over uint32 words holding two's-complement signed values.
 
-    Evaluates 2|x| + [x < 0] in modular uint32 arithmetic. Total on uint32:
-    the word 0x80000000 (signed -2^31) wraps onto code 1.
+    Evaluates 2|x| + [x < 0] in modular uint32 arithmetic, in place in one
+    output array. Total on uint32: the word 0x80000000 (signed -2^31) wraps
+    onto code 1.
     """
     u = _as_u32(deltas)
-    neg = (u >> np.uint32(31)).astype(np.uint32)
-    sign = np.uint32(0) - neg                    # 0x00000000 or 0xFFFFFFFF
-    mag = (u ^ sign) + neg                       # two's-complement |x|
-    return (mag << np.uint32(1)) + neg
+    sign = (u.view(np.int32) >> 31).view(np.uint32)  # 0 or 0xFFFFFFFF
+    out = u ^ sign
+    out -= sign                                  # two's-complement |x|
+    out <<= 1
+    out -= sign                                  # + [x < 0]
+    return out
 
 
 def zigzag_unwrap(codes: np.ndarray) -> np.ndarray:
@@ -163,26 +174,33 @@ class PackedBlock:
 
 def pfor_encode(values) -> bytes:
     """Pack unsigned 32-bit integers into the PFOR block format."""
-    v = _as_u32(values)
+    v = _as_u32(values).reshape(1, -1)
     return b"".join([encode_uvarint(v.size),
                      *(_write_blocks(_block_costs(b)) for b in _blocks(v))])
 
 
-def pfor_size(values) -> int:
-    """``len(pfor_encode(values))``, from the encoder's cost step alone:
+def pfor_size(values):
+    """``len(pfor_encode(row))`` for each row of 2-D ``values`` as an array,
+    or the int for 1-D ``values``, from the encoder's cost step alone:
     nothing is packed and no varint is written."""
     v = _as_u32(values)
-    return len(encode_uvarint(v.size)) + sum(
-        int(_block_costs(b).sizes.sum()) for b in _blocks(v))
+    rows = np.atleast_2d(v)
+    m, n = rows.shape
+    sizes = np.full(m, len(encode_uvarint(n)), dtype=np.int64)
+    for b in _blocks(rows):
+        sizes += _block_costs(b).sizes.reshape(m, -1).sum(axis=1)
+    return sizes if v.ndim > 1 else int(sizes[0])
 
 
-def pfor_decode(data) -> np.ndarray:
+def pfor_decode(data, count: int | None = None) -> np.ndarray:
     """Exact inverse of :func:`pfor_encode`.
 
-    Raises TruncatedStreamError / CorruptStreamError on malformed input;
-    never returns partial output.
+    ``count``, when given, is the only value count accepted: a stream
+    declaring another is rejected before anything else is read. Raises
+    TruncatedStreamError / CorruptStreamError on malformed input; never
+    returns partial output.
     """
-    return _pfor_parse(data)[0]
+    return _pfor_parse(data, count)[0]
 
 
 def iter_blocks(data):
@@ -206,12 +224,14 @@ def iter_blocks(data):
 # internals
 
 
-def _pfor_parse(data):
-    """Decode a PFOR stream: (values, block references, block widths,
-    exception value indices, exception remainders)."""
+def _pfor_parse(data, count=None):
+    """Decode a PFOR stream of ``count`` values (any, when None): (values,
+    block references, block widths, exception value indices, remainders)."""
     buf = bytes(data)
     total = len(buf)
     n, pos = decode_uvarint(buf, 0)
+    if count is not None and n != count:
+        raise CorruptStreamError("value block count mismatch")
     # Cheapest legal block is ~3 bytes per 128 values; larger counts cannot
     # be backed by this buffer, so reject before allocating.
     if n > (total // 3 + 1) * BLOCK_SIZE:
@@ -319,9 +339,10 @@ def _as_u32(values) -> np.ndarray:
 
 
 def _bit_lengths(a: np.ndarray) -> np.ndarray:
-    # frexp's exponent equals bit_length for positive integers (exact < 2^53)
-    _, e = np.frexp(a.astype(np.float64))
-    return e.astype(np.int64)
+    # frexp's int32 exponent equals bit_length for positive integers (exact
+    # below 2^53); the mantissas overwrite the float64 copy
+    f = a.astype(np.float64)
+    return np.frexp(f, out=(f, None))[1]
 
 
 @functools.lru_cache(maxsize=None)     # at most 32 widths x 128 lengths
@@ -363,11 +384,12 @@ def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
 
 
 def _blocks(v: np.ndarray) -> list:
-    """The values as uniform-length blocks: the (nfull, 128) full blocks,
-    then the (1, tail) last block, each only when it has values."""
-    split = v.size - v.size % BLOCK_SIZE
-    return [b for b in (v[:split].reshape(-1, BLOCK_SIZE),
-                        v[split:].reshape(1, -1)) if b.size]
+    """(m, n) rows as uniform-length blocks: the (m * (n // 128), 128) full
+    blocks, row by row, then the (m, n % 128) last blocks, each only when
+    they have values."""
+    split = v.shape[1] - v.shape[1] % BLOCK_SIZE
+    return [b for b in (v[:, :split].reshape(-1, BLOCK_SIZE), v[:, split:])
+            if b.size]
 
 
 class _BlockCosts(NamedTuple):
@@ -375,11 +397,9 @@ class _BlockCosts(NamedTuple):
 
     refs: np.ndarray        # (nblk,) block minima
     off: np.ndarray         # (nblk, blen) offsets from the minimum
-    bitlen: np.ndarray      # (nblk, blen) offset bit lengths
+    bitlen: np.ndarray      # (nblk, blen) int32 offset bit lengths
     ref_vlen: np.ndarray    # (nblk,) reference varint bytes
-    exc: np.ndarray         # (nblk, 33) exceptions at each width
-    exc_vlen: np.ndarray    # (nblk, 33) exception count varint bytes
-    payload_bytes: np.ndarray   # (33,) packed-area bytes at each width
+    hist: np.ndarray        # (nblk, 33) offsets of each bit length
     widths: np.ndarray      # (nblk,) cheapest width, ties to the smaller
     sizes: np.ndarray       # (nblk,) encoded block bytes at that width
 
@@ -392,44 +412,33 @@ def _block_costs(v: np.ndarray) -> _BlockCosts:
     nblk, blen = v.shape
     refs = v.min(axis=1)
     off = v - refs[:, None]
-    bitlen = _bit_lengths(off)                                    # (nblk, blen)
-
+    bitlen = _bit_lengths(off)
     # Per-block histogram over offset bit lengths, 33 bins.
-    idx = (np.arange(nblk, dtype=np.int64)[:, None] * 33 + bitlen).ravel()
-    hist = np.bincount(idx, minlength=nblk * 33).reshape(nblk, 33)
-
-    # exc[:, b] = number of offsets with bit length > b
-    tail_counts = hist[:, ::-1].cumsum(axis=1)[:, ::-1]           # >= l
-    exc = np.zeros((nblk, 33), dtype=np.int64)
-    exc[:, :32] = tail_counts[:, 1:]
-    # varint remainder bytes; counts <= 128 and factors <= 5, exact in float64
-    rem_bytes = (hist.astype(np.float64) @ _REM_BYTES_F).astype(np.int64)
-    payload_bytes = (blen * np.arange(33, dtype=np.int64) + 7) // 8
-
+    idx = bitlen + np.arange(0, nblk * 33, 33)[:, None]
+    hist = np.bincount(idx.ravel(), minlength=nblk * 33).reshape(nblk, 33)
+    # exception and packed-area bytes at each width; exact in float64
+    cost = hist @ _EXC_BYTES
+    cost += (blen * _L + 7) // 8
+    bw = cost.argmin(axis=1)                        # ties -> smaller width
     ref_vlen = (np.maximum(_bit_lengths(refs), 1) + 6) // 7
-    exc_vlen = 1 + (exc >= 128)
-    cost = (ref_vlen[:, None] + 1 + exc_vlen + payload_bytes[None, :]
-            + exc + rem_bytes)
-    bw = cost.argmin(axis=1)                                      # ties -> smaller width
-    return _BlockCosts(refs, off, bitlen, ref_vlen, exc, exc_vlen,
-                       payload_bytes, bw, cost[np.arange(nblk), bw])
+    # plus the reference, the width byte and the one-byte exception count
+    sizes = cost[np.arange(nblk), bw].astype(np.int64) + ref_vlen + 2
+    return _BlockCosts(refs, off, bitlen, ref_vlen, hist, bw, sizes)
 
 
 def _write_blocks(c: _BlockCosts) -> bytes:
     """Write the blocks :func:`_block_costs` sized, each at its width."""
     bw = c.widths
-    nblk = bw.size
-    rows = np.arange(nblk)
-    starts = np.zeros(nblk + 1, dtype=np.int64)
-    np.cumsum(c.sizes, out=starts[1:])
-    buf = np.zeros(int(starts[-1]), dtype=np.uint8)
+    nblk, blen = c.off.shape
+    ends = np.cumsum(c.sizes)
+    buf = np.zeros(int(ends[-1]), dtype=np.uint8)
+    # the offsets longer than the width: blen less those at most as long
+    exc_counts = blen - c.hist.cumsum(axis=1)[np.arange(nblk), bw]
 
-    pos = write_uvarints(buf, starts[:-1], c.refs, c.ref_vlen)
+    pos = write_uvarints(buf, ends - c.sizes, c.refs, c.ref_vlen)
     buf[pos] = bw
-    pos += 1
-    exc_counts = c.exc[rows, bw]
-    pos = write_uvarints(buf, pos, exc_counts.astype(np.uint64),
-                         c.exc_vlen[rows, bw])
+    buf[pos + 1] = exc_counts
+    pos += 2
 
     for width in np.unique(bw):
         if width == 0:
@@ -441,24 +450,22 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         nb = packed.shape[1]
         rows_at = as_strided(buf, (buf.size - nb + 1, nb), (1, 1))
         rows_at[pos[sel]] = packed
-    exc_start = pos + c.payload_bytes[bw]
+    exc_start = pos + (blen * bw + 7) // 8
 
     total_exc = int(exc_counts.sum())
     if total_exc:
         # flat indices run block-major: each block's exceptions are one run
-        flat = np.flatnonzero(c.bitlen > bw[:, None])
-        eblk, epos = np.divmod(flat, c.off.shape[1])
+        flat = np.flatnonzero(c.bitlen > bw.astype(np.int32)[:, None])
+        eblk, epos = np.divmod(flat, blen)
         ewidth = bw[eblk]
         evals = c.off.ravel()[flat] >> ewidth.astype(np.uint32)
         # a remainder has the offset's bit length less the width
         evlen = (c.bitlen.ravel()[flat] - ewidth + 6) // 7
-        first = np.zeros(nblk + 1, dtype=np.int64)
-        np.cumsum(exc_counts, out=first[1:])
+        first = np.cumsum(exc_counts) - exc_counts
         g = np.zeros(total_exc + 1, dtype=np.int64)
         np.cumsum(evlen, out=g[1:])
         # exception k of block b has rank k - first[b] among its positions,
         # and its remainder starts g[k] - g[first[b]] bytes past them
-        first = first[:-1]
         buf[(exc_start - first)[eblk] + np.arange(total_exc)] = epos
         rem_base = exc_start + exc_counts - g[first]
         write_uvarints(buf, rem_base[eblk] + g[:-1], evals, evlen)

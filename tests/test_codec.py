@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from jiffy.errors import CorruptStreamError
 from jiffy.intcodec import delta_wrap, pfor_decode, pfor_encode, zigzag_wrap
 from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
 from jiffy.synthetic import generate
+from jiffy.varint import encode_uvarint
 
-from .refimpl import ref_select_mode
+from .refimpl import (U32, ref_pfor_encode, ref_select_mode,
+                      ref_wrapped_pipeline_encode)
 
 
 def mkscan(samples, width=2, stype=ScanType.RANGE):
@@ -262,6 +265,26 @@ def test_encode_p_roundtrip(seed):
     assert out == cur_scan
 
 
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_forced_p_residuals_wrap_where_previous_is_larger(width):
+    rng = np.random.default_rng(width)
+    hi = (1 << (8 * width)) - 1
+    prev = rng.integers(0, hi + 1, size=(6, 40), dtype=np.uint64)
+    cur = rng.integers(1, hi + 1, size=(6, 40), dtype=np.uint64)
+    prev[0, :5], cur[0, :5] = hi, 1         # the largest drops
+    cur[1] = np.maximum(prev[1], 1) - 1     # a row one below the previous
+    cur[rng.random(cur.shape) < 0.2] = 0
+    est, dst = CodecState(), CodecState()
+    roundtrip(encode(mkscan(prev, width), est), dst, mkscan(prev, width))
+    enc = encode(mkscan(cur, width), est, Mode.P)
+    pairs = [(int(c), int(p)) for c, p in zip(cur.ravel(), prev.ravel()) if c]
+    assert sum(p > c for c, p in pairs) > 50
+    residuals = [(c - p) & U32 for c, p in pairs]
+    assert enc.value_block == ref_pfor_encode(
+        ref_wrapped_pipeline_encode(residuals))
+    assert roundtrip(enc, dst, mkscan(cur, width)) == mkscan(cur, width)
+
+
 def test_residual_plain_variant_roundtrips():
     # mode bit1 on a P-scan: residuals skip the spatial delta. The encoder
     # never emits it, so the record is built by hand.
@@ -484,3 +507,33 @@ def test_decode_value_block_count_mismatch():
     bad = EncodedScan(Mode.I, 2, enc.mask_block, forged)
     with pytest.raises(CorruptStreamError):
         roundtrip(bad, CodecState(), scan)
+
+
+def forged_count_record(rows, cols, factor):
+    """An I-record for a rows x cols scan with no zero sample whose value
+    block declares ``factor`` times the mask's value count, all of it in
+    3-byte width-0 blocks (rows * cols a multiple of 128)."""
+    n = rows * cols * factor
+    mask_block = bytecomp.compress_block(
+        pack_mask(np.zeros((rows, cols), dtype=bool)))
+    return EncodedScan(Mode.I, rows * cols, mask_block,
+                       encode_uvarint(n) + b"\x01\x00\x00" * (n // 128))
+
+
+def test_forged_value_count_rejected_before_the_walk():
+    rows, cols, width = 8, 64, 2
+    enc = forged_count_record(rows, cols, 100)
+
+    def rejected():
+        with pytest.raises(CorruptStreamError, match="value block count"):
+            decode(enc, CodecState(), ScanType.RANGE, width, rows, cols)
+
+    rejected()          # numpy's and re's one-time set-up stays untraced
+    tracemalloc.start()
+    try:
+        rejected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # before the count check: about 900 KB, spent walking and unpacking
+    assert peak < 64 * rows * cols * width

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jiffy import bytecomp
-from jiffy.codec import CodecState, EncodedScan, Mode, encode
+from jiffy.codec import CodecState, EncodedScan, Mode, decode, encode
 from jiffy.container import (HEADER_SIZE, MAGIC, StreamHeader, StreamReader,
                              StreamWriter)
 from jiffy.errors import (BadMagicError, ChecksumMismatchError,
@@ -16,6 +16,8 @@ from jiffy.errors import (BadMagicError, ChecksumMismatchError,
                           UnsupportedVersionError)
 from jiffy.scan import Scan, ScanType
 from jiffy.varint import encode_uvarint
+
+from .test_codec import forged_count_record
 
 # StreamHeader(RANGE, rows=2, cols=4, width=2, precision 1000um, deflate, 3)
 GOLDEN_HEADER = bytes.fromhex(
@@ -222,6 +224,33 @@ def test_oversized_mask_rejected_before_inflating():
         tracemalloc.stop()
     assert ei.value.frame_index == 0
     assert peak < 4 * len(raw)
+
+
+def test_forged_value_count_rejected_before_the_walk():
+    # the frame's value block declares 100 times the 8x64 mask's count
+    rows, cols, width = 8, 64, 2
+    buf = io.BytesIO()
+    with StreamWriter(buf, StreamHeader(ScanType.RANGE, rows, cols,
+                                        frame_count=1)) as w:
+        w.write_frame(forged_count_record(rows, cols, 100))
+    raw = buf.getvalue()
+
+    def rejected():
+        reader = StreamReader(io.BytesIO(raw))
+        h = reader.header
+        with pytest.raises(CorruptStreamError, match="value block count"):
+            decode(next(reader), CodecState(), h.scan_type, h.sample_width,
+                   h.rows, h.cols)
+
+    rejected()          # numpy's and re's one-time set-up stays untraced
+    tracemalloc.start()
+    try:
+        rejected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # zlib's 32 KiB inflate window is most of it
+    assert peak < 64 * rows * cols * width
 
 
 def test_forged_frame_length_read_in_bounded_chunks(tmp_path):

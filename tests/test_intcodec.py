@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
 from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
@@ -136,6 +137,22 @@ def test_wrapped_pipeline_matches_reference(v):
     assert ref_wrapped_pipeline_decode(codes) == v.tolist()
 
 
+@given(hnp.arrays(np.uint32, hnp.array_shapes(min_dims=1, max_dims=2,
+                                               min_side=0, max_side=40)))
+def test_wraps_act_per_row_and_leave_their_input(v):
+    before = v.copy()
+    for wrap in (delta_wrap, zigzag_wrap):
+        out = wrap(v)
+        assert np.array_equal(v, before)
+        assert not np.shares_memory(out, v)
+        assert out.dtype == np.uint32 and out.shape == v.shape
+        for got, row in zip(np.atleast_2d(out), np.atleast_2d(v)):
+            assert np.array_equal(got, wrap(row.copy()))
+    assert [zigzag_wrap(delta_wrap(row)).tolist()
+            for row in np.atleast_2d(v)] \
+        == [ref_wrapped_pipeline_encode(row) for row in np.atleast_2d(v)]
+
+
 # ---------------------------------------------------------------------------
 # PFOR
 
@@ -240,6 +257,48 @@ def test_pfor_blocks_are_optimal(v):
 @settings(max_examples=200)
 def test_pfor_size_is_encoded_length(v):
     assert pfor_size(v) == len(pfor_encode(v))
+
+
+@st.composite
+def u32_rows(draw):
+    """(m, n) uint32, 1-4 rows of 0-300 values (a tail block only, below
+    128); each row random, spiky, all-equal or just below 0xFFFFFFFF."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.one_of(st.sampled_from([0, 1, 127, 128, 129, 256]),
+                       st.integers(min_value=0, max_value=300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((m, n), dtype=np.uint64)
+    for row in rows:
+        kind = draw(st.sampled_from(["random", "spiky", "equal", "near_top"]))
+        if kind == "random":
+            row[:] = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        elif kind == "spiky":
+            row[:] = rng.integers(0, 200, size=n)
+            spikes = rng.random(n) < 0.1
+            row[spikes] = rng.integers(0, 1 << 32, size=int(spikes.sum()),
+                                       dtype=np.uint64)
+        elif kind == "equal":
+            row[:] = rng.integers(0, 1 << 32, dtype=np.uint64)
+        else:
+            row[:] = 0xFFFFFFFF - rng.integers(0, 300, size=n)
+    return rows.astype(np.uint32)
+
+
+@given(u32_rows())
+@settings(max_examples=150, deadline=None)
+def test_pfor_size_of_rows_is_each_rows_encoded_length(rows):
+    sizes = pfor_size(rows)
+    assert sizes.shape == (len(rows),)
+    assert sizes.tolist() == [len(pfor_encode(row)) for row in rows]
+
+
+@given(st.one_of(u32_arrays, spiky_arrays, dense_exception_arrays()))
+@settings(max_examples=100, deadline=None)
+def test_pfor_blocks_have_fewer_exceptions_than_values(v):
+    # a block minimum is offset 0 and never an exception, so every count
+    # the encoder writes is one varint byte
+    for b in iter_blocks(pfor_encode(v)):
+        assert len(b.exceptions) < b.length
 
 
 def _one_block(values, width=None, ref_bytes=None):
@@ -635,7 +694,7 @@ def _dense_exception_case(n, rng):
     """The fixed-seed counterpart of ``dense_exception_arrays``: every block
     dense (3-10 bit offsets, 3 in the first block; about 20% of them spike
     by 1-5 remainder bytes, at least one per block, the short last one
-    included) under references of 1-5 varint bytes in turn."""
+    included) under references of exactly 1-5 varint bytes in turn."""
     blocks = []
     for i in range(0, n, BLOCK_SIZE):
         blen = min(BLOCK_SIZE, n - i)
@@ -644,12 +703,14 @@ def _dense_exception_case(n, rng):
                         size=max(1, int(rng.binomial(blen - 1, 0.2))))
         off = _spiky_offsets(blen, base, at, rng)
         off[0] = 0
-        # the reference takes at most ref_bytes varint bytes, cycling
-        # through 1-5 from block to block
+        # the reference is drawn from the values of ref_bytes varint bytes,
+        # cycling through 1-5 from block to block (5-byte ones below 2^31),
+        # and the block's spikes are capped so no value passes 2^32 - 1
         ref_bytes = 1 + (i // BLOCK_SIZE + n) % 5
-        top = (1 << 32) - 1 - int(off.max())
-        ref = int(rng.integers(0, top + 1)) >> max(32 - 7 * ref_bytes, 0)
-        blocks.append(off + ref)
+        lo = 1 << 7 * (ref_bytes - 1) if ref_bytes > 1 else 0
+        hi = min(1 << 7 * ref_bytes, 1 << 31)
+        off = np.minimum(off, (1 << 32) - hi)
+        blocks.append(off + int(rng.integers(lo, hi)))
     return np.concatenate(blocks).astype(np.uint32)
 
 
