@@ -21,32 +21,33 @@ encoder evaluates all 33 candidate widths and keeps the cheapest total,
 breaking ties toward the smaller width, so the emitted size is the format's
 per-block optimum by construction.
 
-Encoding is two steps over uniform-length blocks (the full 128-value
-blocks together, then the shorter last blocks): a cost step that finds each
-block's reference, offsets and cheapest width, and a write step that lays
-the bytes out. Every size comes from the int32 bit lengths of the block
-minima and offsets, taken once in the cost step. A reference of bit length
-l takes ``max(ceil(l/7), 1)`` varint bytes. At width w < l an offset costs
-a position byte and ``ceil((l - w)/7)`` remainder bytes, so one float64
-matmul of the per-block bit-length histogram against that 33x33 table, plus
-the packed-area bytes, costs all 33 widths, and ``argmin`` keeps the
-cheapest. The exception count is one byte: a block minimum is offset 0, so
-a block has at most 127 exceptions. :func:`pfor_size` runs the cost step
-alone, so it equals ``len(pfor_encode(row))`` for each row of its input
-without packing anything; the I/P mode trial sizes its two test streams,
-two rows of one array, with it.
+Encoding is two steps over full rows of 128 values, as the decoder reads
+them, a short last block padded with its own minimum (offset 0: never an
+exception, zero packed bits): a cost step finds each block's reference,
+offsets and cheapest width, and a write step lays the bytes out. Every size
+comes from the int32 bit lengths of the block minima and offsets, taken once
+in the cost step. A reference of bit length l takes ``max(ceil(l/7), 1)``
+varint bytes. At width w < l an offset costs a position byte and
+``ceil((l - w)/7)`` remainder bytes, so one float64 matmul of the per-block
+bit-length histogram against that 33x33 table, plus the packed-area bytes,
+costs all 33 widths, and ``argmin`` keeps the cheapest. The exception count
+is one byte: a block minimum is offset 0, so a block has at most 127
+exceptions. :func:`pfor_size` runs the cost step alone, so it equals
+``len(pfor_encode(row))`` for each row of its input without packing
+anything; the I/P mode trial sizes its two test streams, two rows of one
+array, with it.
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
 shifted left by ``i*w & 63`` and summed into word ``i*w >> 6`` (fields in a
 word are disjoint, so the sum is an OR); an offset crossing a word boundary
 adds its high bits to the next word. The little-endian words, viewed as
-bytes and cut to ``ceil(blen*w/8)``, are the packed area, copied into the
-output as one contiguous row per block.
+bytes, are copied into the output as one row per block; a short block's
+row ends in zero bytes past its packed area, overwritten or cut off later.
 
 The exceptions of all blocks are then written in one flat pass. A single
 ``np.flatnonzero`` over the offsets wider than their block's width gives
-flat indices, split into block and position by the block length; they run
+flat indices, split into block and position by 128; they run
 block-major, so each block's exceptions form one run in stream order.
 The width bytes and the exception counts, read at each block's width off
 one forward cumsum of the histogram, go out in two scatters, every
@@ -107,6 +108,8 @@ _CONTINUATION = bytes(b >> 7 for b in range(256))
 _L = np.arange(33)
 _EXC_BYTES = np.where(_L[:, None] > _L, 1 + (_L[:, None] - _L + 6) // 7,
                       0).astype(np.float64)
+# Packed-area bytes by (block length 0-128, width w): ceil(length * w / 8).
+_PACKED_BYTES = np.ceil(np.arange(BLOCK_SIZE + 1)[:, None] * _L / 8)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +153,15 @@ def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
 
 
 def zigzag_unwrap(codes: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_wrap`."""
+    """Inverse of :func:`zigzag_wrap`: an even code c is ``c >> 1``, an odd
+    one ``~((c - 2) >> 1)``, so code 1 wraps onto 0x80000000 (-2^31)."""
     c = _as_u32(codes)
-    odd = c & np.uint32(1)
-    # code 1 is the wrapped -2^31: its magnitude has the top bit set
-    half = (c >> np.uint32(1)) | ((c == 1) << np.uint32(31))
-    return (half ^ (np.uint32(0) - odd)) + odd
+    odd = c & 1
+    out = c - odd
+    out -= odd                                   # c - 2 on odd codes
+    out >>= 1
+    out ^= np.negative(odd, out=odd)             # ~ on odd codes
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +181,7 @@ class PackedBlock:
 def pfor_encode(values) -> bytes:
     """Pack unsigned 32-bit integers into the PFOR block format."""
     v = _as_u32(values).reshape(1, -1)
-    return b"".join([encode_uvarint(v.size),
-                     *(_write_blocks(_block_costs(b)) for b in _blocks(v))])
+    return encode_uvarint(v.size) + _write_blocks(_block_costs(v))
 
 
 def pfor_size(values):
@@ -186,9 +191,8 @@ def pfor_size(values):
     v = _as_u32(values)
     rows = np.atleast_2d(v)
     m, n = rows.shape
-    sizes = np.full(m, len(encode_uvarint(n)), dtype=np.int64)
-    for b in _blocks(rows):
-        sizes += _block_costs(b).sizes.reshape(m, -1).sum(axis=1)
+    blocks = _block_costs(rows).sizes.reshape(m, -(-n // BLOCK_SIZE))
+    sizes = blocks.sum(axis=1) + len(encode_uvarint(n))
     return sizes if v.ndim > 1 else int(sizes[0])
 
 
@@ -345,13 +349,13 @@ def _bit_lengths(a: np.ndarray) -> np.ndarray:
     return np.frexp(f, out=(f, None))[1]
 
 
-@functools.lru_cache(maxsize=None)     # at most 32 widths x 128 lengths
-def _pack_layout(width: int, blen: int) -> tuple:
-    """Where a block's offsets go among its 64-bit words, as read-only
+@functools.lru_cache(maxsize=None)     # at most 32 widths
+def _pack_layout(width: int) -> tuple:
+    """Where a block's 128 offsets go among its 64-bit words, as read-only
     arrays: each offset's left shift; the first offset of each word's run
     and that word; the offsets crossing into the next word, their right
     shift and the word they spill into."""
-    bit = np.arange(blen, dtype=np.int64) * width
+    bit = np.arange(BLOCK_SIZE, dtype=np.int64) * width
     word = bit >> 6
     shift = (bit & 63).astype(np.uint64)
     first = np.flatnonzero(np.diff(word, prepend=-1))
@@ -367,37 +371,28 @@ def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
     """Pack the low ``width`` bits of each uint32, LSB-first, in 64-bit
     words (see the module docstring).
 
-    offsets: (m, blen) uint32 -> (m, ceil(blen*width/8)) uint8.
+    offsets: (m, 128) uint32 -> (m, 16*width) uint8.
     """
-    m, blen = offsets.shape
     shift, first, first_word, cross, spill_shift, spill_word = \
-        _pack_layout(width, blen)
+        _pack_layout(width)
     v = offsets.astype(np.uint64)
     if width < 32:
         v &= np.uint64((1 << width) - 1)    # exceptions carry higher bits
     spill = v[:, cross] >> spill_shift
     v <<= shift
-    words = np.zeros((m, (blen * width + 63) >> 6), dtype="<u8")
+    words = np.zeros((len(offsets), 2 * width), dtype="<u8")
     words[:, first_word] = np.add.reduceat(v, first, axis=1)
     words[:, spill_word] += spill
-    return words.view(np.uint8)[:, :(blen * width + 7) // 8]
-
-
-def _blocks(v: np.ndarray) -> list:
-    """(m, n) rows as uniform-length blocks: the (m * (n // 128), 128) full
-    blocks, row by row, then the (m, n % 128) last blocks, each only when
-    they have values."""
-    split = v.shape[1] - v.shape[1] % BLOCK_SIZE
-    return [b for b in (v[:, :split].reshape(-1, BLOCK_SIZE), v[:, split:])
-            if b.size]
+    return words.view(np.uint8)
 
 
 class _BlockCosts(NamedTuple):
-    """The cost step's view of (nblk, blen) uniform-length blocks."""
+    """The cost step's view of (nblk, 128) blocks."""
 
     refs: np.ndarray        # (nblk,) block minima
-    off: np.ndarray         # (nblk, blen) offsets from the minimum
-    bitlen: np.ndarray      # (nblk, blen) int32 offset bit lengths
+    blens: np.ndarray       # (nblk,) values in the block; the rest pad
+    off: np.ndarray         # (nblk, 128) offsets from the minimum
+    bitlen: np.ndarray      # (nblk, 128) int32 offset bit lengths
     ref_vlen: np.ndarray    # (nblk,) reference varint bytes
     hist: np.ndarray        # (nblk, 33) offsets of each bit length
     widths: np.ndarray      # (nblk,) cheapest width, ties to the smaller
@@ -407,42 +402,47 @@ class _BlockCosts(NamedTuple):
 def _block_costs(v: np.ndarray) -> _BlockCosts:
     """Cost every block at all 33 widths and keep the cheapest.
 
-    v: (nblk, blen) uint32, blen <= 128.
+    v: (m, n) uint32 rows, as (m * ceil(n/128), 128) blocks, row by row.
     """
-    nblk, blen = v.shape
-    refs = v.min(axis=1)
-    off = v - refs[:, None]
+    m, n = v.shape
+    nb = -(-n // BLOCK_SIZE)
+    off = np.empty((m, nb * BLOCK_SIZE), dtype=np.uint32)
+    off[:, :n] = v
+    if n % BLOCK_SIZE:                  # pad the short last block: offset 0
+        off[:, n:] = v[:, -(n % BLOCK_SIZE):].min(axis=1, keepdims=True)
+    nblk = m * nb
+    off = off.reshape(nblk, BLOCK_SIZE)
+    refs = off.min(axis=1)
+    off -= refs[:, None]
+    blens = np.tile(np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.arange(nb)), m)
     bitlen = _bit_lengths(off)
     # Per-block histogram over offset bit lengths, 33 bins.
     idx = bitlen + np.arange(0, nblk * 33, 33)[:, None]
     hist = np.bincount(idx.ravel(), minlength=nblk * 33).reshape(nblk, 33)
     # exception and packed-area bytes at each width; exact in float64
     cost = hist @ _EXC_BYTES
-    cost += (blen * _L + 7) // 8
+    cost += _PACKED_BYTES.take(blens, axis=0)
     bw = cost.argmin(axis=1)                        # ties -> smaller width
     ref_vlen = (np.maximum(_bit_lengths(refs), 1) + 6) // 7
     # plus the reference, the width byte and the one-byte exception count
     sizes = cost[np.arange(nblk), bw].astype(np.int64) + ref_vlen + 2
-    return _BlockCosts(refs, off, bitlen, ref_vlen, hist, bw, sizes)
+    return _BlockCosts(refs, blens, off, bitlen, ref_vlen, hist, bw, sizes)
 
 
 def _write_blocks(c: _BlockCosts) -> bytes:
-    """Write the blocks :func:`_block_costs` sized, each at its width."""
+    """Write one row's blocks :func:`_block_costs` sized, each at its width."""
     bw = c.widths
-    nblk, blen = c.off.shape
-    ends = np.cumsum(c.sizes)
-    buf = np.zeros(int(ends[-1]), dtype=np.uint8)
-    # the offsets longer than the width: blen less those at most as long
-    exc_counts = blen - c.hist.cumsum(axis=1)[np.arange(nblk), bw]
+    size = int(c.sizes.sum())
+    buf = np.zeros(size + _ROW_PAD, dtype=np.uint8)  # room for a full last row
+    # the offsets longer than the width: 128 less the rest, padding included
+    exc_counts = BLOCK_SIZE - c.hist.cumsum(axis=1)[np.arange(bw.size), bw]
 
-    pos = write_uvarints(buf, ends - c.sizes, c.refs, c.ref_vlen)
+    pos = write_uvarints(buf, np.cumsum(c.sizes) - c.sizes, c.refs, c.ref_vlen)
     buf[pos] = bw
     buf[pos + 1] = exc_counts
     pos += 2
 
-    for width in np.unique(bw):
-        if width == 0:
-            continue
+    for width in np.trim_zeros(np.unique(bw), "f"):   # 0 packs nothing
         sel = np.nonzero(bw == width)[0]
         packed = _pack_bits(c.off[sel], int(width))
         # rows_at[p] is the row of bytes at p: one contiguous copy per block.
@@ -450,13 +450,13 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         nb = packed.shape[1]
         rows_at = as_strided(buf, (buf.size - nb + 1, nb), (1, 1))
         rows_at[pos[sel]] = packed
-    exc_start = pos + (blen * bw + 7) // 8
+    exc_start = pos + (c.blens * bw + 7) // 8
 
     total_exc = int(exc_counts.sum())
     if total_exc:
         # flat indices run block-major: each block's exceptions are one run
         flat = np.flatnonzero(c.bitlen > bw.astype(np.int32)[:, None])
-        eblk, epos = np.divmod(flat, blen)
+        eblk, epos = np.divmod(flat, BLOCK_SIZE)
         ewidth = bw[eblk]
         evals = c.off.ravel()[flat] >> ewidth.astype(np.uint32)
         # a remainder has the offset's bit length less the width
@@ -469,7 +469,7 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         buf[(exc_start - first)[eblk] + np.arange(total_exc)] = epos
         rem_base = exc_start + exc_counts - g[first]
         write_uvarints(buf, rem_base[eblk] + g[:-1], evals, evlen)
-    return buf.tobytes()
+    return buf[:size].tobytes()
 
 
 def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:

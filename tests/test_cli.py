@@ -330,6 +330,26 @@ def test_compress_forced_modes_roundtrip(tmp_path, corpus):
                    "--container", jfy) == 0
 
 
+@pytest.mark.parametrize("flags,byte,value", [
+    (("--mask-codec", "stored"), 15, 0),
+    (("--sample-width", 1), 10, 1),
+    (("--sample-width", 4), 10, 4),
+])
+def test_compress_header_flags_roundtrip(tmp_path, corpus, capsys, flags,
+                                         byte, value):
+    # header byte 10 is the sample width, byte 15 the mask codec id
+    jfy = tmp_path / "seq.jfy"
+    assert run("compress", "--input", corpus, "--shape", "16x64", *flags,
+               "--output", jfy) == 0
+    assert jfy.read_bytes()[byte] == value
+    assert run("verify", "--input", corpus, "--shape", "16x64",
+               "--container", jfy) == 0
+    back = tmp_path / "back.f32"
+    assert run("decompress", "--input", jfy, "--output", back) == 0
+    assert back.stat().st_size == 4 * 16 * 64 * 4
+    capsys.readouterr()
+
+
 def test_compress_integer_input_keeps_width(tmp_path, capsys):
     raw = tmp_path / "seq.u16"
     frames = np.arange(2 * 4 * 8, dtype=np.uint16).reshape(2, 4, 8)

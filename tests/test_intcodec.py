@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jiffy import intcodec
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
 from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
                             iter_blocks, pfor_decode, pfor_encode, pfor_size,
@@ -141,7 +142,7 @@ def test_wrapped_pipeline_matches_reference(v):
                                                min_side=0, max_side=40)))
 def test_wraps_act_per_row_and_leave_their_input(v):
     before = v.copy()
-    for wrap in (delta_wrap, zigzag_wrap):
+    for wrap in (delta_wrap, zigzag_wrap, zigzag_unwrap):
         out = wrap(v)
         assert np.array_equal(v, before)
         assert not np.shares_memory(out, v)
@@ -351,23 +352,64 @@ def _scalar_pack(row, width):
 
 @pytest.mark.parametrize("width", range(1, 33))
 def test_pack_bits_matches_scalar(width):
+    # the encoder packs only full 128-value rows; a short last block is
+    # padded to one (test_pfor_short_last_block_at_every_width)
     rng = np.random.default_rng(width)
-    for blen in (1, 7, 63, 64, 65, 127, 128):
-        rows = np.stack([
-            # full 32-bit words: bits above the width must be dropped
-            rng.integers(0, 1 << 32, size=blen, dtype=np.uint64),
-            # all ones: every field that crosses a 64-bit word spills
-            np.full(blen, 0xFFFFFFFF, dtype=np.uint64),
-            # in range, with the top bit of each field set
-            rng.integers(1 << (width - 1), 1 << width, size=blen,
-                         dtype=np.uint64),
-            np.zeros(blen, dtype=np.uint64),
-        ]).astype(np.uint32)
-        packed = _pack_bits(rows, width)
-        assert packed.dtype == np.uint8
-        assert packed.shape == (len(rows), (blen * width + 7) // 8)
-        for row, got in zip(rows, packed):
-            assert got.tobytes() == _scalar_pack(row, width)
+    rows = np.stack([
+        # full 32-bit words: bits above the width must be dropped
+        rng.integers(0, 1 << 32, size=BLOCK_SIZE, dtype=np.uint64),
+        # all ones: every field that crosses a 64-bit word spills
+        np.full(BLOCK_SIZE, 0xFFFFFFFF, dtype=np.uint64),
+        # in range, with the top bit of each field set
+        rng.integers(1 << (width - 1), 1 << width, size=BLOCK_SIZE,
+                     dtype=np.uint64),
+        np.zeros(BLOCK_SIZE, dtype=np.uint64),
+    ]).astype(np.uint32)
+    packed = _pack_bits(rows, width)
+    assert packed.dtype == np.uint8
+    assert packed.shape == (len(rows), BLOCK_SIZE * width // 8)
+    for row, got in zip(rows, packed):
+        assert got.tobytes() == _scalar_pack(row, width)
+
+
+@pytest.mark.parametrize("blen,width", [(1, 0)] + [
+    (blen, width) for blen in (7, 63, 64, 65, 127) for width in range(1, 33)])
+def test_pfor_short_last_block_at_every_width(blen, width):
+    # a full block, then a last block of blen values: a 0 and values of bit
+    # length ``width``, so it packs at that width with no exception
+    rng = np.random.default_rng(blen * 33 + width)
+    last = rng.integers(1 << width >> 1, 1 << width, size=blen,
+                        dtype=np.uint64)
+    last[rng.integers(blen)] = 0
+    v = np.concatenate([rng.integers(0, 1 << 32, size=BLOCK_SIZE,
+                                     dtype=np.uint64), last]).astype(np.uint32)
+    enc = pfor_encode(v)
+    assert enc == ref_pfor_encode(v.tolist())
+    assert pfor_size(v) == len(enc)
+    assert np.array_equal(pfor_decode(enc), v)
+    blocks = list(iter_blocks(enc))
+    assert [b.length for b in blocks] == [BLOCK_SIZE, blen]
+    assert blocks[-1].bit_width == width and not blocks[-1].exceptions
+
+
+def test_each_pfor_call_costs_its_blocks_once(monkeypatch):
+    calls = []
+    cost = intcodec._block_costs
+    monkeypatch.setattr(intcodec, "_block_costs",
+                        lambda v: calls.append(v.shape) or cost(v))
+    v = np.arange(300, dtype=np.uint32)     # two full blocks and a tail
+    pfor_encode(v)
+    pfor_size(v)
+    pfor_size(np.stack([v, v[::-1]]))
+    assert calls == [(1, 300), (1, 300), (2, 300)]
+
+
+def test_pfor_size_of_rows_with_different_tail_minima():
+    # each row's short last block is padded with its own minimum
+    rows = np.arange(2 * 200, dtype=np.uint32).reshape(2, 200) % 37
+    rows[0, BLOCK_SIZE:] += 1 << 30
+    rows[1, BLOCK_SIZE:] += 5
+    assert pfor_size(rows).tolist() == [len(pfor_encode(r)) for r in rows]
 
 
 def _width_case(width, n, remainder_bytes, rng):
