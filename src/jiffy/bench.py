@@ -140,7 +140,7 @@ def _encode_unmasked(scans, stages):
         for forward, _ in stages:
             codes = forward(codes)
         value_block = pfor_encode(codes)
-        back = pfor_decode(value_block)
+        back = pfor_decode(value_block, values.size)
         for _, inverse in reversed(stages):
             back = inverse(back)
         if not np.array_equal(back, values):

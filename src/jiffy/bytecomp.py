@@ -8,6 +8,10 @@ The compressed area is self-delimiting per codec: stored data spans exactly
 uncompressed_len bytes, and a deflate stream knows its own end. Masks are
 tiny next to value payloads, so the default codec leans toward speed.
 
+``parse_block`` is the one reader. It returns the offset past the block, so
+its caller decides what may follow: further record fields, or, for a block
+held on its own, nothing.
+
 Codec ids:
     0  stored (no compression)
     1  deflate, raw stream, fast level  (default)
@@ -41,17 +45,12 @@ def compress_block(data: bytes, codec_id: int = DEFAULT_CODEC) -> bytes:
     raise UnknownCodecError(f"unknown byte codec id {codec_id}")
 
 
-def decompress_block(block: bytes) -> bytes:
-    """Decode one standalone mask block."""
-    return parse_block(block, 0)[0]
-
-
 def parse_block(buf: bytes, offset: int,
                 expected_len: int | None = None) -> tuple[bytes, int]:
     """Decode the mask block starting at ``offset``.
 
-    Returns (uncompressed bytes, offset past the block). Used both standalone
-    and when a block is embedded ahead of further fields. With
+    Returns (uncompressed bytes, offset past the block); a caller holding
+    a standalone block checks that offset against the block's length. With
     ``expected_len``, a block declaring any other length is rejected before
     anything is inflated, so a hostile length cannot size the output.
     """

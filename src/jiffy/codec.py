@@ -44,19 +44,16 @@ TEST_LINES = 4      # trial scanlines for automatic mode selection
 class CodecState:
     """Reference scan for P-coding; one per stream direction.
 
-    Holds the last scan in the quantized domain and the mask the pipeline
-    used for it. Encoder and decoder sides stay in lockstep because decoding
-    is exact. Each side keeps its own copy of the samples, so the encoder's
-    caller may reuse its buffer and the decoder's caller may edit what it
-    gets back.
+    A plain record of the last scan in the quantized domain and the mask the
+    pipeline used for it, both None before the first scan; ``encode`` and
+    ``decode`` assign both fields. The two sides stay in lockstep because
+    decoding is exact. Each keeps its own copy of the samples, so the
+    encoder's caller may reuse its buffer and the decoder's caller may edit
+    what it gets back.
     """
 
     samples: np.ndarray | None = None
     mask: np.ndarray | None = None
-
-    def update(self, samples: np.ndarray, mask: np.ndarray):
-        self.samples = samples
-        self.mask = mask
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,12 @@ class EncodedScan:
 
     @cached_property
     def mask_plaintext(self) -> bytes:
-        """The inflated mask block, computed on first use and kept."""
-        return bytecomp.decompress_block(self.mask_block)
+        """The inflated mask block, computed on first use and kept; bytes
+        after the block are refused, as ``from_bytes`` refuses them."""
+        plain, end = bytecomp.parse_block(self.mask_block, 0)
+        if end != len(self.mask_block):
+            raise CorruptStreamError("bytes after the mask block")
+        return plain
 
     def to_bytes(self) -> bytes:
         flags = int(self.mode) | (2 if self.residual_plain else 0)
@@ -168,7 +169,7 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
     enc = EncodedScan(Mode.P if is_p else Mode.I, values.size, mask_block,
                       pfor_encode(zigzag_wrap(delta_wrap(values))))
     # a copy: the caller may refill its buffer before the next scan
-    state.update(scan.samples.copy(), mask)
+    state.samples, state.mask = scan.samples.copy(), mask
     return enc
 
 
@@ -208,7 +209,7 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
         raise CorruptStreamError("zero sample outside the mask")
     samples = expand(values, cur_mask, dtype)
     # a copy: the caller may edit the samples it gets back
-    state.update(samples.copy(), cur_mask)
+    state.samples, state.mask = samples.copy(), cur_mask
     return Scan(scan_type, sample_width, samples)
 
 

@@ -127,9 +127,9 @@ def delta_wrap(values: np.ndarray) -> np.ndarray:
 
 
 def delta_unwrap(deltas: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`delta_wrap` (modular prefix sum)."""
+    """Inverse of :func:`delta_wrap` (modular prefix sum per row)."""
     d = _as_u32(deltas)
-    return np.cumsum(d, dtype=np.uint32)
+    return np.cumsum(d, axis=-1, dtype=np.uint32)
 
 
 # ---------------------------------------------------------------------------

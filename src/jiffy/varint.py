@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import CorruptStreamError, TruncatedStreamError
 
-# 10 bytes cover any uint64; nothing in the formats stores more.
-MAX_VARINT_LEN = 10
-
 
 def encode_uvarint(value: int) -> bytes:
     if value < 0:
@@ -33,9 +30,11 @@ def decode_uvarint(buf, offset: int = 0) -> tuple[int, int]:
     """Decode one varint from ``buf`` at ``offset``.
 
     Returns (value, next_offset). Raises TruncatedStreamError when the buffer
-    ends mid-varint and CorruptStreamError for overlong encodings (more than
-    10 bytes, or a multi-byte varint ending in 0x00) and for values above
-    2^64 - 1 (a 10th byte other than 0x00 or 0x01).
+    ends mid-varint and CorruptStreamError for a multi-byte varint ending in
+    0x00 (overlong) and for a 10th byte other than 0x00 or 0x01. That rule
+    is also the length cap: it bounds the value by 2^64 - 1, and a 10th byte
+    with its continuation bit set is above 0x01, so no varint runs past 10
+    bytes.
     """
     result = 0
     shift = 0
@@ -44,8 +43,6 @@ def decode_uvarint(buf, offset: int = 0) -> tuple[int, int]:
     while True:
         if pos >= n:
             raise TruncatedStreamError("truncated varint")
-        if pos - offset >= MAX_VARINT_LEN:
-            raise CorruptStreamError("varint exceeds 10 bytes")
         b = buf[pos]
         pos += 1
         if shift == 63 and b > 0x01:

@@ -12,7 +12,7 @@ from jiffy.varint import encode_uvarint
 def test_stored_block_is_identity_plus_header():
     block = bytecomp.compress_block(b"abc", bytecomp.STORED)
     assert block == b"\x03\x00abc"
-    assert bytecomp.decompress_block(block) == b"abc"
+    assert bytecomp.parse_block(block, 0) == (b"abc", len(block))
 
 
 def test_default_is_deflate():
@@ -26,7 +26,7 @@ def test_redundant_mask_compresses_hard():
     # an all-zero 16 KiB mask plane must collapse to well under 256 bytes
     block = bytecomp.compress_block(bytes(16 * 1024))
     assert len(block) < 256
-    assert bytecomp.decompress_block(block) == bytes(16 * 1024)
+    assert bytecomp.parse_block(block, 0) == (bytes(16 * 1024), len(block))
 
 
 @given(st.binary(min_size=0, max_size=2000),
@@ -91,7 +91,7 @@ def test_deflate_length_lies_are_caught():
     co = zlib.compressobj(level=1, wbits=-15)
     payload = co.compress(b"0123456789") + co.flush()
     good = b"\x0a\x01" + payload
-    assert bytecomp.decompress_block(good) == b"0123456789"
+    assert bytecomp.parse_block(good, 0) == (b"0123456789", len(good))
     with pytest.raises(CorruptStreamError):
         bytecomp.parse_block(b"\x09\x01" + payload, 0)      # declares 9, is 10
     with pytest.raises((CorruptStreamError, TruncatedStreamError)):
@@ -100,5 +100,5 @@ def test_deflate_length_lies_are_caught():
 
 def test_deflate_garbage_body():
     with pytest.raises(CorruptStreamError):
-        bytecomp.decompress_block(b"\x08\x01\xff\xff\xff\xff\xff\xff")
+        bytecomp.parse_block(b"\x08\x01\xff\xff\xff\xff\xff\xff", 0)
 

@@ -228,6 +228,44 @@ def test_bytes_after_declared_frames_exit_2(tmp_path, corpus, capsys):
     assert back.read_bytes() == b"kept"
 
 
+def test_verify_detects_shape_mismatch(tmp_path, capsys):
+    raw, jfy = tmp_path / "small.f32", tmp_path / "small.jfy"
+    run("gen", "--kind", "random", "--frames", 2, "--shape", "4x8",
+        "--output", raw)
+    run("compress", "--input", raw, "--shape", "4x8", "--output", jfy)
+    capsys.readouterr()
+    assert run("verify", "--input", raw, "--shape", "8x4",
+               "--container", jfy) == 2
+    assert ("verify FAILED: container is 4x8, raw input declared 8x4"
+            in capsys.readouterr().out)
+
+
+def test_decompress_to_narrower_integers_exits_1(tmp_path, corpus, capsys):
+    jfy, out = tmp_path / "seq.jfy", tmp_path / "q.u8"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    capsys.readouterr()
+    assert run("decompress", "--input", jfy, "--etype", "uint8",
+               "--output", out) == 1
+    assert "narrower than the stream's 2-byte samples" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_empty_raw_input_round_trips(tmp_path, capsys):
+    empty, jfy = tmp_path / "empty.f32", tmp_path / "empty.jfy"
+    empty.write_bytes(b"")
+    back = tmp_path / "back.f32"
+    assert run("compress", "--input", empty, "--shape", "4x8",
+               "--output", jfy) == 0
+    assert capsys.readouterr().out == f"wrote {jfy}: 0 frames, ratio n/a\n"
+    assert run("decompress", "--input", jfy, "--output", back) == 0
+    assert capsys.readouterr().out == f"wrote {back}: 0 frames\n"
+    assert back.read_bytes() == b""
+    assert run("verify", "--input", empty, "--shape", "4x8",
+               "--container", jfy) == 0
+    assert "verify OK: 0 frames" in capsys.readouterr().out
+
+
 def test_compress_reports_container_size(tmp_path, corpus, capsys):
     jfy = tmp_path / "seq.jfy"
     assert run("compress", "--input", corpus, "--shape", "16x64",

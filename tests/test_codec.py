@@ -74,6 +74,19 @@ def test_from_bytes_rejects_garbage():
         EncodedScan.from_bytes(GOLDEN_BYTES[:-1])              # short
 
 
+@pytest.mark.parametrize("mask_codec", [bytecomp.STORED, bytecomp.DEFLATE])
+def test_bytes_after_mask_block_rejected(mask_codec):
+    # an in-memory record takes the mask blocks a parsed record takes
+    proto = mkscan(GOLDEN_SCAN)
+    enc = encode(proto, CodecState(), Mode.I, mask_codec=mask_codec)
+    junk = dataclasses.replace(enc, mask_block=enc.mask_block + b"junk")
+    with pytest.raises(CorruptStreamError, match="after the mask block"):
+        roundtrip(junk, CodecState(), proto)
+    with pytest.raises(CorruptStreamError):
+        EncodedScan.from_bytes(junk.to_bytes())
+    assert roundtrip(enc, CodecState(), proto) == proto
+
+
 # sha256 over the wire bytes of 4 frames, 128x1024, seed 7, 1000 um, 2 bytes
 GOLDEN_STREAM_SHA256 = {
     "random":
@@ -151,7 +164,7 @@ def test_encode_i_all_zero():
                  Mode.I)
     assert enc.value_count == 0
     assert pfor_decode(enc.value_block).size == 0
-    mask = unpack_mask(bytecomp.decompress_block(enc.mask_block), (4, 8))
+    mask = unpack_mask(bytecomp.parse_block(enc.mask_block, 0)[0], (4, 8))
     assert mask.all()
 
 
@@ -221,8 +234,7 @@ def test_identical_scan_codes_smaller_as_p():
     i = encode(scan, CodecState(), Mode.I)
     assert p.total_bytes < i.total_bytes
     # residuals are all zero -> value block is the minimal constant block
-    dec_state = CodecState()
-    dec_state.update(scan.samples, extract_mask(scan.samples))
+    dec_state = CodecState(scan.samples, extract_mask(scan.samples))
     assert roundtrip(p, dec_state, scan) == scan
 
 
@@ -236,8 +248,7 @@ def test_p_after_all_zero_previous():
     codes = pfor_decode(enc.value_block)
     vals = cur.samples[cur.samples != 0].astype(np.uint32)
     assert np.array_equal(codes, zigzag_wrap(delta_wrap(vals)))
-    dec = CodecState()
-    dec.update(prev.samples, extract_mask(prev.samples))
+    dec = CodecState(prev.samples, extract_mask(prev.samples))
     assert roundtrip(enc, dec, cur) == cur
 
 

@@ -142,13 +142,14 @@ def test_wrapped_pipeline_matches_reference(v):
                                                min_side=0, max_side=40)))
 def test_wraps_act_per_row_and_leave_their_input(v):
     before = v.copy()
-    for wrap in (delta_wrap, zigzag_wrap, zigzag_unwrap):
+    for wrap in (delta_wrap, delta_unwrap, zigzag_wrap, zigzag_unwrap):
         out = wrap(v)
         assert np.array_equal(v, before)
         assert not np.shares_memory(out, v)
         assert out.dtype == np.uint32 and out.shape == v.shape
         for got, row in zip(np.atleast_2d(out), np.atleast_2d(v)):
             assert np.array_equal(got, wrap(row.copy()))
+    assert np.array_equal(delta_unwrap(delta_wrap(v)), v)
     assert [zigzag_wrap(delta_wrap(row)).tolist()
             for row in np.atleast_2d(v)] \
         == [ref_wrapped_pipeline_encode(row) for row in np.atleast_2d(v)]

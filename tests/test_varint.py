@@ -50,6 +50,14 @@ def test_truncated_raises():
 def test_overlong_raises():
     with pytest.raises(CorruptStreamError):
         decode_uvarint(b"\x80" * 10 + b"\x01")
+    # a 10th byte with its continuation bit set is above 0x01, so the value
+    # bound rejects every varint longer than 10 bytes at its 10th byte
+    assert decode_uvarint(b"\x80" * 9 + b"\x01") == (1 << 63, 10)
+    for extra in (1, 2, 10):
+        with pytest.raises(CorruptStreamError, match="2\\^64"):
+            decode_uvarint(b"\x80" * (9 + extra) + b"\x01")
+        with pytest.raises(CorruptStreamError, match="2\\^64"):
+            decode_uvarint(b"\x80" * (9 + extra))   # ends past byte 10
 
 
 @pytest.mark.parametrize("last", [0x02, 0x7F, 0x81])
