@@ -3,11 +3,36 @@
 A mask is a 2D bool array the same shape as its scan: True where the sample
 is zero (out of range), False where it carries a value. Masks apply to every
 scan type, not just ranges; sparse attribute planes benefit the same way.
+
+:func:`compact` and :func:`expand` move the clear samples one of two ways,
+chosen by how fragmented the mask is. numpy's boolean indexing copies one
+run of clear samples at a time, so its cost grows with the number of runs.
+Flat indices (``np.flatnonzero`` of the clear bits, then one ``take`` or one
+scatter) cost the same per sample however the runs fall, but build an index
+array that boolean indexing does not. Masks with more than one
+clear/masked transition per 16 samples (``_FRAGMENTED``, estimated on every
+8th row) take flat indices; the rest keep boolean indexing. On 128x1024
+masks the two cost the same between 0.04 and 0.07 transitions per sample;
+scattered 30%-zero masks (0.42 transitions per sample) compact in about
+0.23 against 0.86 ms with flat indices, while clustered ones (0.04 and
+below) compact in 0.09-0.16 against 0.16-0.22 ms with boolean indexing.
+Both ways give identical arrays.
 """
 
 import numpy as np
 
 from .errors import CorruptStreamError
+
+# mask transitions per sample above which flat indices beat boolean indexing
+_FRAGMENTED = 1 / 16
+
+
+def _fragmented(mask: np.ndarray) -> bool:
+    """True when every 8th row of ``mask`` has more than ``_FRAGMENTED``
+    clear/masked transitions per sample."""
+    rows = mask[::8]
+    flips = np.count_nonzero(rows[:, 1:] != rows[:, :-1])
+    return flips > _FRAGMENTED * rows.size
 
 
 def extract_mask(samples: np.ndarray) -> np.ndarray:
@@ -20,7 +45,11 @@ def compact(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.shape != mask.shape:
         raise ValueError("mask shape does not match samples")
-    return samples[~mask].astype(np.uint32, copy=False).ravel()
+    if _fragmented(mask):
+        values = samples.ravel().take(np.flatnonzero(~mask.ravel()))
+    else:
+        values = samples[~mask]
+    return values.astype(np.uint32, copy=False)
 
 
 def expand(values: np.ndarray, mask: np.ndarray, dtype) -> np.ndarray:
@@ -31,7 +60,10 @@ def expand(values: np.ndarray, mask: np.ndarray, dtype) -> np.ndarray:
         raise CorruptStreamError(
             f"value count {values.size} does not match mask ({n} clear bits)")
     out = np.zeros(mask.shape, dtype=dtype)
-    out[~mask] = values
+    if _fragmented(mask):
+        out.ravel()[np.flatnonzero(~mask.ravel())] = values
+    else:
+        out[~mask] = values
     return out
 
 

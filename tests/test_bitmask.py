@@ -1,16 +1,58 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from jiffy import bitmask
 from jiffy.bitmask import (compact, expand, extract_mask, pack_mask,
                            unpack_mask, xor_mask)
 from jiffy.errors import CorruptStreamError
+from jiffy.scan import QuantizationSpec, quantize
+from jiffy.synthetic import KINDS, generate
 
 shapes = st.tuples(st.integers(1, 20), st.integers(1, 40))
+frame_shapes = st.tuples(st.integers(1, 128), st.integers(1, 1024))
 
 
 def rand_mask(shape, seed=0):
     return np.random.default_rng(seed).random(shape) < 0.4
+
+
+def run_mask(shape, mean_run, seed=0):
+    """Row-major runs that flip with probability 1/mean_run per sample, so
+    about 1/mean_run transitions per sample."""
+    rng = np.random.default_rng(seed)
+    flips = rng.random(shape[0] * shape[1]) < 1 / mean_run
+    return (np.cumsum(flips) % 2 == 1).reshape(shape)
+
+
+@st.composite
+def masks(draw):
+    """Scattered (i.i.d.) or clustered (run-length) masks, small or up to a
+    full 128x1024 frame."""
+    shape = draw(st.one_of(shapes, frame_shapes))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.0, 0.05, 0.3, 0.75, 1.0]))
+        return np.random.default_rng(seed).random(shape) < p
+    return run_mask(shape, draw(st.integers(1, 400)), seed)
+
+
+def boolean_expand(values, mask, dtype):
+    out = np.zeros(mask.shape, dtype=dtype)
+    out[~mask] = values
+    return out
+
+
+def check_compact_expand(mask, seed=0):
+    rng = np.random.default_rng(seed)
+    s = rng.integers(1, 1 << 16, size=mask.shape, dtype=np.uint16)
+    values = compact(s, mask)
+    assert values.dtype == np.uint32
+    assert np.array_equal(values, s[~mask])
+    out = expand(values, mask, np.uint16)
+    assert out.dtype == np.uint16
+    assert np.array_equal(out, boolean_expand(values, mask, np.uint16))
+    assert np.array_equal(out, np.where(mask, 0, s))
 
 
 def test_extract_mask_counts():
@@ -34,13 +76,54 @@ def test_compact_shape_mismatch():
         compact(np.zeros((2, 2), np.uint8), np.zeros((2, 3), bool))
 
 
-@given(shapes, st.integers(0, 1000))
-def test_compact_expand_roundtrip(shape, seed):
-    rng = np.random.default_rng(seed)
-    s = rng.integers(0, 4, size=shape, dtype=np.uint16)
-    m = extract_mask(s)
-    back = expand(compact(s, m), m, np.uint16)
-    assert np.array_equal(back, s)
+@given(masks(), st.integers(0, 1000))
+@settings(deadline=None)
+def test_compact_expand_roundtrip(mask, seed):
+    check_compact_expand(mask, seed)
+
+
+EDGE_MASKS = {
+    "one row": rand_mask((1, 1024)),
+    "one column": rand_mask((128, 1)),
+    "one sample clear": np.ones((1, 1), bool),
+    "one sample masked": np.zeros((1, 1), bool),
+    "all masked": np.ones((128, 1024), bool),
+    "none masked": np.zeros((128, 1024), bool),
+    "scattered": rand_mask((128, 1024)),
+    "clustered": run_mask((128, 1024), 100),
+}
+
+
+@pytest.mark.parametrize("threshold", [-1.0, np.inf], ids=["flat", "boolean"])
+@pytest.mark.parametrize("name", sorted(EDGE_MASKS))
+def test_both_gathers_agree_with_boolean_indexing(monkeypatch, name,
+                                                  threshold):
+    # -1 sends every mask to flat indices, inf every mask to boolean indexing
+    monkeypatch.setattr(bitmask, "_FRAGMENTED", threshold)
+    assert bitmask._fragmented(EDGE_MASKS[name]) == (threshold < 0)
+    check_compact_expand(EDGE_MASKS[name])
+
+
+@pytest.mark.parametrize("mean_run, fragmented",
+                         [(1, True), (4, True), (8, True), (32, False),
+                          (64, False), (400, False)])
+def test_fragmented_splits_at_one_transition_per_16_samples(mean_run,
+                                                            fragmented):
+    for seed in range(4):
+        mask = run_mask((128, 1024), mean_run, seed)
+        assert bitmask._fragmented(mask) == fragmented
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_synthetic_kinds_fall_on_both_sides_of_the_choice(seed):
+    # the benchmark's random masks take flat indices, the clustered kinds
+    # keep boolean indexing, so each side has a workload that shows it
+    spec = QuantizationSpec(1000, 2)
+    sides = {kind: {bitmask._fragmented(extract_mask(quantize(f, spec).samples))
+                    for f in generate(kind, 16, 128, 1024, seed=seed)}
+             for kind in KINDS}
+    assert sides == {"random": {True}, "static_scene": {False},
+                     "driving_like": {False}, "sparse_vertical": {False}}
 
 
 def test_expand_length_mismatch():

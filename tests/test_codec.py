@@ -276,6 +276,21 @@ def test_encode_p_roundtrip(seed):
     assert out == cur_scan
 
 
+def test_forced_p_roundtrips_full_size_random_frames():
+    # random codes I-only when the mode is chosen; forcing P sends its
+    # scattered masks through decode's compact of the reference and expand
+    spec = QuantizationSpec(1000, 2)
+    scans = [quantize(f, spec) for f in generate("random", 4, 128, 1024,
+                                                  seed=1)]
+    est, dst = CodecState(), CodecState()
+    for i, scan in enumerate(scans):
+        enc = EncodedScan.from_bytes(encode(scan, est, Mode.P).to_bytes())
+        assert enc.mode == (Mode.P if i else Mode.I)
+        out = roundtrip(enc, dst, scan)
+        assert out.samples.dtype == scan.samples.dtype
+        assert np.array_equal(out.samples, scan.samples)
+
+
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_forced_p_residuals_wrap_where_previous_is_larger(width):
     rng = np.random.default_rng(width)
