@@ -119,9 +119,11 @@ def test_synthetic_kinds_fall_on_both_sides_of_the_choice(seed):
     # the benchmark's random masks take flat indices, the clustered kinds
     # keep boolean indexing, so each side has a workload that shows it
     spec = QuantizationSpec(1000, 2)
-    sides = {kind: {bitmask._fragmented(extract_mask(quantize(f, spec).samples))
-                    for f in generate(kind, 16, 128, 1024, seed=seed)}
-             for kind in KINDS}
+    sides = {kind: set() for kind in KINDS}
+    for kind in KINDS:
+        for f in generate(kind, 16, 128, 1024, seed=seed):
+            mask = extract_mask(quantize(f, spec).samples)
+            sides[kind].add(bitmask._fragmented(mask))
     assert sides == {"random": {True}, "static_scene": {False},
                      "driving_like": {False}, "sparse_vertical": {False}}
 
