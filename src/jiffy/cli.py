@@ -284,9 +284,9 @@ def cmd_decompress(args) -> int:
         with _replacing(args.output) as dst:
             for scan in _decoded_scans(reader):
                 if dtype.kind == "f":
-                    # raw dumps mark invalid samples as 0; every other
-                    # value is >= 0, so fmax changes only the NaN sentinels
-                    out = np.fmax(dequantize(scan, qspec), 0.0, dtype=dtype)
+                    # raw dumps mark invalid samples as 0
+                    out = dequantize(scan, qspec, invalid=0.0).astype(
+                        dtype, copy=False)
                 else:
                     out = np.ascontiguousarray(scan.samples, dtype=dtype)
                 dst.write(out)

@@ -57,22 +57,30 @@ position byte in one more, and every remainder in one
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
 both read (the exceptions it patches in are also the ones
 :func:`iter_blocks` reports). It walks the block headers in Python once per
-block and keeps one record per block: reference, width, packed-area
-offset, exception count and the end of the exception area. The header
-fields are range-checked as they are read, and each exception area is
-skipped, not decoded, by counting varint terminator bytes with
-``bytes.count`` (a few C-level counts per block, whatever the number of
-exceptions). Everything else is whole-array numpy work over the stream:
+block and keeps only each block's start offset. The header fields are
+range-checked as they are read, in stream order, so each malformed input
+meets the same check first; a full block advances by ``16*w`` packed bytes,
+and its one-byte exception count needs no range check (127 < 128). Each
+exception area is skipped, not decoded, by counting varint terminator bytes
+with ``bytes.count`` (a few C-level counts per block, whatever the number
+of exceptions). Everything else is whole-array numpy work over the stream:
 
-* every packed area is read as a full row of 128 offsets in one gather:
-  offset i is the little-endian word at byte ``i*w >> 3``, shifted right
-  by ``i*w & 7`` and masked to w bits. The words are 4 bytes (7 shift
-  bits plus up to 25 value bits) unless the stream has a block of width
-  26-32; then they are 8 bytes. The stream is padded with zero bytes, so
-  the short last block is read as a full row too, and its lanes past the
-  end are cut off. Each block's reference is added, rejecting a sum that
-  overflows uint32;
-* the blocks with exceptions are picked from the records; all their
+* the references, widths, exception counts and packed-area offsets are read
+  again from the start offsets with a few vector ops over the blocks (one
+  more gather per reference byte beyond the first); block k's exception
+  area ends where block k + 1 starts;
+* every packed area is read as a full row of 128 offsets, one width at a
+  time. The blocks are sorted by width once; each width's packed areas are
+  copied out as rows of ``16*w`` bytes plus one word, and offset i of every
+  row is the little-endian word at byte ``i*w >> 3``, shifted right by
+  ``i*w & 7`` and masked to w bits: one fixed 128-entry column index per
+  width (:func:`_unpack_layout`). The words are 4 bytes (7 shift bits plus
+  up to 25 value bits) for widths up to 25 and 8 bytes for 26-32, so only
+  the wide blocks pay for 8-byte words. The stream is padded with zero
+  bytes, so the short last block is read as a full row too, and its lanes
+  past the end are cut off. Each block's reference is then added, rejecting
+  a sum that overflows uint32;
+* the blocks with exceptions are picked from the counts; all their
   positions are gathered at once and checked (below the block length,
   strictly increasing within the block);
 * all remainder varints are decoded together and checked (at most 5 bytes,
@@ -241,91 +249,121 @@ def _pfor_parse(data, count=None):
     if n > (total // 3 + 1) * BLOCK_SIZE:
         raise CorruptStreamError("value count larger than stream could hold")
 
-    # Header walk: one record per block, O(1) per block. Exception areas are
-    # only located here; their contents are checked and applied in bulk.
-    refs, widths, offs, counts, ends = [], [], [], [], []
-    add_ref, add_width, add_off, add_count, add_end = (
-        refs.append, widths.append, offs.append, counts.append, ends.append)
+    # Header walk: each block's start offset only, O(1) per block; the
+    # header fields are read again from those offsets below. Exception areas
+    # are only located here; their contents are checked and applied in bulk.
+    starts = []
+    add_start = starts.append
     count_cont = None       # continuation-byte counter, built on first use
-    blens = [BLOCK_SIZE] * (n // BLOCK_SIZE)
-    if n % BLOCK_SIZE:
-        blens.append(n % BLOCK_SIZE)
-    for blen in blens:
-        # The reference is usually one or two bytes and the exception count
-        # one: read those inline and leave other varints (an overlong
-        # second byte 0x00 among them) to decode_uvarint.
-        if pos + 3 > total:
-            raise TruncatedStreamError("truncated block header")
-        ref = buf[pos]
-        if ref < 0x80:
-            pos += 1
-        else:
-            b1 = buf[pos + 1]
-            if 0 < b1 < 0x80:
-                ref = (ref & 0x7F) | b1 << 7
-                pos += 2
-            else:
-                ref, pos = decode_uvarint(buf, pos)
-                if ref > _U32_MAX:
-                    raise CorruptStreamError("block reference exceeds uint32")
-            if pos + 2 > total:
+    nfull, tail = divmod(n, BLOCK_SIZE)
+    for blen, nblocks in ((BLOCK_SIZE, nfull), (tail, tail > 0)):
+        # bytes from the width byte to the end of the packed area, by width;
+        # a one-byte count up to `small` is in range (every one-byte count
+        # is, on a full block)
+        head_packed = [2 + (blen * w + 7 >> 3) for w in range(33)]
+        small = min(blen, 0x7F)
+        for _ in range(nblocks):
+            add_start(pos)
+            # The reference is usually one or two bytes and the exception
+            # count one: read those inline and leave other varints (an
+            # overlong second byte 0x00 among them) to decode_uvarint.
+            if pos + 3 > total:
                 raise TruncatedStreamError("truncated block header")
-        width = buf[pos]
-        if width > 32:
-            raise CorruptStreamError(f"bit width {width} exceeds 32")
-        exc_count = buf[pos + 1]
-        if exc_count < 0x80:
-            pos += 2
-        else:
-            exc_count, pos = decode_uvarint(buf, pos + 1)
-        if exc_count > blen:
-            raise CorruptStreamError("exception count exceeds block length")
-        add_ref(ref)
-        add_width(width)
-        add_off(pos)
-        add_count(exc_count)
-        # the packed area and one position byte per exception
-        pos += (blen * width + 7) // 8 + exc_count
-        if pos > total:
-            raise TruncatedStreamError("truncated block payload")
-        # Skip the remainder varints: a range of `need` bytes with c
-        # continuation bytes ends need - c varints, so c more are still due.
-        need = exc_count
-        while need:
-            stop = pos + need
-            if stop > total:
-                raise TruncatedStreamError("truncated exception area")
-            if count_cont is None:
-                count_cont = buf.translate(_CONTINUATION).count
-            need = count_cont(1, pos, stop)
-            pos = stop
-        add_end(pos)
+            if buf[pos] < 0x80:
+                pos += 1
+            else:
+                b1 = buf[pos + 1]
+                if 0 < b1 < 0x80:
+                    pos += 2
+                else:
+                    ref, pos = decode_uvarint(buf, pos)
+                    if ref > _U32_MAX:
+                        raise CorruptStreamError(
+                            "block reference exceeds uint32")
+                if pos + 2 > total:
+                    raise TruncatedStreamError("truncated block header")
+            width = buf[pos]
+            if width > 32:
+                raise CorruptStreamError(f"bit width {width} exceeds 32")
+            exc_count = buf[pos + 1]
+            if exc_count > small:
+                if exc_count >= 0x80:
+                    exc_count = decode_uvarint(buf, pos + 1)[0]
+                if exc_count > blen:        # every one-byte count here
+                    raise CorruptStreamError(
+                        "exception count exceeds block length")
+                pos += 1                    # a count of 128 is 80 01
+            # one position byte per exception
+            pos += head_packed[width] + exc_count
+            if pos > total:
+                raise TruncatedStreamError("truncated block payload")
+            # Skip the remainder varints: a range of `need` bytes with c
+            # continuation bytes ends need - c varints, so c more are due.
+            need = exc_count
+            while need:
+                stop = pos + need
+                if stop > total:
+                    raise TruncatedStreamError("truncated exception area")
+                if count_cont is None:
+                    count_cont = buf.translate(_CONTINUATION).count
+                need = count_cont(1, pos, stop)
+                pos = stop
     if pos != total:
         raise CorruptStreamError("trailing bytes after final block")
-    refs = np.asarray(refs, dtype=np.uint32)
-    widths = np.asarray(widths, dtype=np.int64)
-    exc_idx = np.empty(0, dtype=np.int64)
-    exc_rems = np.empty(0, dtype=np.uint64)
     if n == 0:
-        return np.empty(0, dtype=np.uint32), refs, widths, exc_idx, exc_rems
-    # Only the final block (the loop's last blen, width) can end mid-byte:
-    # 128 * width bits is always whole bytes.
-    bits = blen * width
-    if bits & 7 and buf[offs[-1] + (bits >> 3)] >> (bits & 7):
-        raise CorruptStreamError("nonzero padding bits in packed area")
+        empty = np.empty(0, dtype=np.int64)
+        return (np.empty(0, dtype=np.uint32), empty.astype(np.uint32), empty,
+                empty, empty.astype(np.uint64))
 
     # Zero padding lets every block, the short last one too, be read as a
-    # full row of 128 offsets, each one little-endian word.
+    # full row of 128 offsets.
     arr = np.frombuffer(buf + bytes(_ROW_PAD), dtype=np.uint8)
-    offs = np.asarray(offs, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    refs, widths, counts, offs = _read_headers(arr, starts)
+    # Only the final block (the walk's last blen, width) can end mid-byte:
+    # 128 * width bits is always whole bytes.
+    bits = blen * width
+    if bits & 7 and arr[offs[-1] + (bits >> 3)] >> (bits & 7):
+        raise CorruptStreamError("nonzero padding bits in packed area")
+
     out = _unpack_blocks(arr, refs, widths, offs, n)
-    counts = np.asarray(counts, dtype=np.int64)
+    exc_idx = np.empty(0, dtype=np.int64)
+    exc_rems = np.empty(0, dtype=np.uint64)
     blocks = np.flatnonzero(counts)
     if blocks.size:
+        # block k's exception area ends where block k + 1 starts
+        ends = np.append(starts[1:], total)
         exc_idx, exc_rems = _patch_exceptions(
             arr, out, n, blocks, widths[blocks], offs[blocks], counts[blocks],
-            np.asarray(ends, dtype=np.int64)[blocks])
+            ends[blocks])
     return out, refs, widths, exc_idx, exc_rems
+
+
+def _read_headers(arr: np.ndarray, starts: np.ndarray):
+    """Each block's reference (uint32), width, exception count and
+    packed-area offset (int64), read from the block start offsets of a
+    stream the header walk accepted.
+
+    A reference takes 1-5 bytes, the last one below 0x80; each pass reads
+    one more byte of the references still open. An accepted count of two
+    bytes is 80 01, 128; every other count is one byte.
+    """
+    b = arr[starts]
+    refs = (b & 0x7F).astype(np.uint32)
+    at = starts + 1                 # one past each reference byte read
+    more = np.flatnonzero(b >= 0x80)
+    shift = 7
+    while more.size:
+        b = arr[at[more]]
+        refs[more] |= (b & 0x7F).astype(np.uint32) << shift
+        at[more] += 1
+        more = more[b >= 0x80]
+        shift += 7
+    widths = arr[at].astype(np.int64)
+    counts = arr[at + 1].astype(np.int64)
+    two = counts >= 0x80
+    counts[two] = BLOCK_SIZE
+    return refs, widths, counts, at + 2 + two
 
 
 def _as_u32(values) -> np.ndarray:
@@ -472,37 +510,60 @@ def _write_blocks(c: _BlockCosts) -> bytes:
     return buf[:size].tobytes()
 
 
+@functools.lru_cache(maxsize=None)     # at most 32 widths
+def _unpack_layout(width: int) -> tuple:
+    """How a row of 128 offsets at ``width`` is read: the word type (4 bytes
+    hold 7 shift bits and up to 25 value bits; wider rows take 8), the row
+    length (the packed area and one word past it), each offset's byte in
+    the row and right shift, and the mask."""
+    word = np.dtype("<u4" if width <= 25 else "<u8")
+    bit = np.arange(BLOCK_SIZE, dtype=np.int64) * width
+    at = bit >> 3
+    shift = (bit & 7).astype(word)
+    for a in (at, shift):
+        a.flags.writeable = False
+    return word, 16 * width + word.itemsize, at, shift, word.type(
+        (1 << width) - 1)
+
+
 def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
-    """Unpack every block's packed area as a row of 128 offsets and add its
-    reference (see the module docstring); returns the first n values.
+    """Unpack every block's packed area as a row of 128 offsets, one width
+    at a time, and add its reference (see the module docstring); returns
+    the first n values.
 
     ``arr`` is the stream with ``_ROW_PAD`` zero bytes of padding.
     """
-    # A 4-byte word holds 7 shift bits and up to 25 value bits; a stream
-    # with a wider block is read with 8-byte words throughout.
-    word = np.dtype("<u4" if widths.max() <= 25 else "<u8")
-    # reuse the (nblk, 128) temporaries: fresh pages cost more than the math
-    shift = widths.astype(np.uint32)[:, None] * np.arange(BLOCK_SIZE,
-                                                          dtype=np.uint32)
-    at = np.right_shift(shift, 3, dtype=np.int64)
-    at += offs[:, None]
-    shift &= 7
-    mask = (1 << widths) - 1
-    # words[i] = the word at byte i; take() copes with the unaligned words
-    # far faster than [] does
-    words = np.ndarray((arr.size - word.itemsize + 1,), word, arr, 0, (1,))
-    vals = words.take(at)
-    vals >>= shift
-    vals &= mask.astype(word)[:, None]
-    vals = vals.astype(np.uint32, copy=False)
+    out = np.empty((refs.size, BLOCK_SIZE), dtype=np.uint32)
+    order = np.argsort(widths, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(widths[order])) + 1).tolist(),
+            refs.size]
+    for a, b in zip(cuts, cuts[1:]):
+        sel = order[a:b]
+        width = int(widths[sel[0]])
+        if not width:                   # nothing packed
+            out[sel] = 0
+            continue
+        word, row, at, shift, mask = _unpack_layout(width)
+        # rows_at[p] is the row of bytes at p: one contiguous copy per block
+        rows_at = np.ndarray((arr.size - row + 1, row), np.uint8, arr, 0,
+                             (1, 1))
+        rows = rows_at[offs[sel]]
+        # words[k, i] is the (unaligned) word at byte i of row k
+        words = np.ndarray((b - a, row - word.itemsize + 1), word, rows, 0,
+                           (row, 1))
+        vals = words[:, at]
+        vals >>= shift
+        vals &= mask
+        out[sel] = vals
     # Detect uint32 overflow (only corrupt streams produce it); a reference
     # leaving room for every width-bit offset needs no per-value look.
-    risky = np.flatnonzero(refs.astype(np.int64) + mask > _U32_MAX)
+    risky = np.flatnonzero(refs.astype(np.int64) + (1 << widths) - 1
+                           > _U32_MAX)
     if risky.size and np.any(refs[risky].astype(np.int64)
-                             + vals[risky].max(axis=1) > _U32_MAX):
+                             + out[risky].max(axis=1) > _U32_MAX):
         raise CorruptStreamError("block value overflows uint32")
-    vals += refs[:, None]
-    return vals.reshape(-1)[:n]
+    out += refs[:, None]
+    return out.reshape(-1)[:n]
 
 
 def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,

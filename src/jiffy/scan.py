@@ -139,19 +139,25 @@ def quantize(raw: np.ndarray, spec: QuantizationSpec,
                 q.astype(sample_dtype(spec.sample_width)))
 
 
-def dequantize(scan: Scan, spec: QuantizationSpec) -> np.ndarray:
+def dequantize(scan: Scan, spec: QuantizationSpec,
+               invalid: float = np.nan) -> np.ndarray:
     """Restore float measurements from a quantized Scan.
 
-    Range samples scale back to meters, with the 0 sentinel becoming NaN.
-    Attribute samples return as floats unchanged (0 is a legitimate reading).
+    Range samples scale back to meters, with the 0 sentinel becoming
+    ``invalid`` (NaN by default). Attribute samples return as floats
+    unchanged (0 is a legitimate reading).
     """
     if scan.sample_width != spec.sample_width:
         raise ValueError("scan and spec sample widths differ")
     if not scan.scan_type.is_range:
         return scan.samples.astype(np.float64)
     out = np.multiply(scan.samples, spec.precision_m, dtype=np.float64)
-    # a zero sample gives 0.0 here, and 0.0 / False is NaN: this places the
-    # sentinel without indexing the scattered zeros
-    with np.errstate(invalid="ignore"):
-        np.divide(out, scan.samples != 0, out=out)
+    # a zero sample gives +0.0 here
+    if np.isnan(invalid):
+        # 0.0 / False is NaN: this places the sentinel without indexing the
+        # scattered zeros
+        with np.errstate(invalid="ignore"):
+            np.divide(out, scan.samples != 0, out=out)
+    elif invalid != 0.0 or np.signbit(invalid):
+        np.putmask(out, scan.samples == 0, invalid)
     return out

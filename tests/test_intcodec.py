@@ -489,6 +489,140 @@ def test_pfor_mixed_widths_and_tail_roundtrip(tail):
     assert got.dtype == np.uint32 and np.array_equal(got, v)
 
 
+# --- per-width decode: blocks grouped by width -----------------------------
+
+
+def _block_bytes(values):
+    """One block's bytes as the scalar encoder writes them: the stream of
+    ``values`` less its value count."""
+    v = [int(x) for x in values]
+    return ref_pfor_encode(v)[len(encode_uvarint(len(v))):]
+
+
+def _assert_decodes_like_oracles(enc, v):
+    assert _block_tuples(enc) == ref_iter_blocks(enc)
+    got = pfor_decode(enc)
+    assert got.dtype == np.uint32
+    assert got.tolist() == ref_pfor_decode_strict(enc) == v.tolist()
+
+
+def test_pfor_all_33_widths_in_one_stream():
+    # every width twice, in an order that splits each width's blocks apart,
+    # exceptions in each block below width 32, then a short tail at width 9
+    order = [(7 * k) % 33 for k in range(66)]
+    rng = np.random.default_rng(3301)
+    v = np.concatenate([_width_case(w, BLOCK_SIZE, 1, rng) for w in order]
+                       + [_width_case(9, 100, 2, rng)])
+    enc = pfor_encode(v)
+    assert [b.bit_width for b in iter_blocks(enc)] == order + [9]
+    _assert_decodes_like_oracles(enc, v)
+
+
+@pytest.mark.parametrize("width", range(26, 33))
+@pytest.mark.parametrize("blen", [1, 77, 127])
+def test_pfor_short_wide_last_block_after_narrow_blocks(width, blen):
+    # narrow blocks read with 4-byte words, then a short last block read
+    # with 8-byte words whose row runs into the zero padding
+    rng = np.random.default_rng(width * 128 + blen)
+    v = np.concatenate([_width_case(w, BLOCK_SIZE, 1, rng) for w in (1, 0, 3)]
+                       + [_width_case(width, blen, 1, rng)])
+    enc = pfor_encode(v)
+    blocks = list(iter_blocks(enc))
+    assert [b.bit_width for b in blocks[:3]] == [1, 0, 3]
+    assert blocks[-1].length == blen
+    if blen > 2:
+        assert blocks[-1].bit_width == width
+    _assert_decodes_like_oracles(enc, v)
+
+
+@pytest.mark.parametrize("tail", [1, 32])
+def test_pfor_width_32_blocks_next_to_width_1_blocks(tail):
+    rng = np.random.default_rng(3201 + tail)
+    widths = [32, 1, 1, 32, 1, 32, 32, 1]
+    v = np.concatenate([_width_case(w, BLOCK_SIZE, 1, rng) for w in widths]
+                       + [_width_case(tail, 50, 1, rng)])
+    enc = pfor_encode(v)
+    assert [b.bit_width for b in iter_blocks(enc)] == widths + [tail]
+    _assert_decodes_like_oracles(enc, v)
+
+
+def test_pfor_overflow_inside_one_width_group_rejected():
+    # a width-7 block whose reference 0xFFFFFFFF leaves no room for a
+    # nonzero offset, between other width-7 blocks and blocks of widths 0,
+    # 3 and 30
+    rng = np.random.default_rng(701)
+    cases = [_width_case(w, BLOCK_SIZE, 1, rng) for w in (7, 3, 0, 30, 7)]
+    top = encode_uvarint(0xFFFFFFFF) + bytes([7, 0])
+    for lane_byte, ok in ((0, True), (1, False), (111, False)):
+        packed = bytearray(16 * 7)
+        packed[lane_byte] = 0 if ok else 0x40
+        forged = top + bytes(packed)
+        blocks = [_block_bytes(c) for c in cases]
+        enc = (encode_uvarint(6 * BLOCK_SIZE) + b"".join(blocks[:2]) + forged
+               + b"".join(blocks[2:]))
+        if ok:
+            want = np.concatenate(cases[:2] + [np.full(BLOCK_SIZE, 0xFFFFFFFF,
+                                                       dtype=np.uint32)]
+                                  + cases[2:])
+            _assert_decodes_like_oracles(enc, want)
+            continue
+        with pytest.raises(CorruptStreamError, match="overflows uint32"):
+            pfor_decode(enc)
+        with pytest.raises(RefReject, match="above 2\\^32"):
+            ref_pfor_decode_strict(enc)
+
+
+def multi_width_corpus():
+    """A multi-width stream (widths 0 with exceptions, 1, 26, 32, 5 and a
+    27-bit tail), made without a random generator, and the inputs made from
+    it: every truncation, then each byte set in turn to 0x00, 0x80 and
+    0xFF."""
+    lane = np.arange(BLOCK_SIZE, dtype=np.uint64)
+    blocks = []
+    for width, n in ((0, 128), (1, 128), (26, 128), (32, 128), (5, 128),
+                     (27, 40)):
+        off = lane[:n] * 2654435761 % (1 << 32) >> np.uint64(32 - width) \
+            if width else np.zeros(n, dtype=np.uint64)
+        off[0] = 0
+        if width < 32:                      # two exceptions in the block
+            off[[3, n - 1]] += np.uint64(300 << width) & np.uint64(0x7FFFFFFF)
+        blocks.append(off + np.uint64(40 + 9000 * width))
+    v = np.concatenate(blocks).astype(np.uint32)
+    enc = pfor_encode(v)
+    cases = [enc[:cut] for cut in range(len(enc))]
+    for p in range(len(enc)):
+        for byte in (0x00, 0x80, 0xFF):
+            if enc[p] != byte:
+                cases.append(enc[:p] + bytes([byte]) + enc[p + 1:])
+    return v, enc, cases
+
+
+# what each error class counted over multi_width_corpus() when blocks were
+# unpacked all at once; the per-width decode gives every input the same
+# class and message
+MULTI_WIDTH_CORPUS_CLASSES = {"accepted": 3491, "TruncatedStreamError": 1208,
+                              "CorruptStreamError": 135}
+
+
+def test_pfor_multi_width_corpus_classes_and_oracle():
+    v, enc, cases = multi_width_corpus()
+    assert [b.bit_width for b in iter_blocks(enc)] == [0, 1, 26, 32, 5, 27]
+    _assert_decodes_like_oracles(enc, v)
+    classes = {"accepted": 0, "TruncatedStreamError": 0,
+               "CorruptStreamError": 0}
+    for bad in cases:
+        try:
+            got = pfor_decode(bad).tolist()
+        except JiffyError as e:
+            classes[type(e).__name__] += 1
+            assert _strict_or_none(bad) is None, bad.hex()
+        else:
+            classes["accepted"] += 1
+            assert got == _strict_or_none(bad), bad.hex()
+    # the per-input classes the block-at-a-time decoder gave this corpus
+    assert classes == MULTI_WIDTH_CORPUS_CLASSES
+
+
 # --- malformed streams -----------------------------------------------------
 
 

@@ -68,6 +68,36 @@ def test_sentinel_preserved_both_ways():
     assert np.isnan(dequantize(scan, MM)).all()
 
 
+@pytest.mark.parametrize("scan_type", [ScanType.RANGE, ScanType.SIGNAL])
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("precision_um", [1, 1000, 123457])
+def test_invalid_zero_output_matches_fmax_of_nan_sentinels(scan_type, width,
+                                                           precision_um):
+    # `jiffy decompress` writes float32 with the invalid value 0; 0 times the
+    # precision is +0.0, which is also what fmax made of each NaN sentinel
+    spec = QuantizationSpec(precision_um, width)
+    samples = np.array([[0, 1, spec.max_sample], [spec.max_sample, 0, 1]],
+                       dtype=sample_dtype(width))
+    scan = Scan(scan_type, width, samples)
+    old = np.fmax(dequantize(scan, spec), 0.0, dtype=np.float32)
+    new = dequantize(scan, spec, invalid=0.0).astype(np.float32)
+    assert new.tobytes() == old.tobytes()
+    assert not np.signbit(new).any()
+
+
+def test_dequantize_invalid_value():
+    scan = Scan(ScanType.RANGE, 2, np.array([[1234, 0]], dtype=np.uint16))
+    for invalid in (0.0, -0.0, -1.0, np.inf):
+        out = dequantize(scan, MM, invalid=invalid)
+        assert out[0, 0] == pytest.approx(1.234)
+        assert out[0, 1] == invalid
+        assert np.signbit(out[0, 1]) == np.signbit(invalid)
+    assert np.isnan(dequantize(scan, MM, invalid=np.nan)[0, 1])
+    # attribute samples keep their 0 readings whatever the invalid value
+    attr = Scan(ScanType.SIGNAL, 2, np.array([[0, 7]], dtype=np.uint16))
+    assert dequantize(attr, MM, invalid=-1.0).tolist() == [[0.0, 7.0]]
+
+
 def test_attribute_passthrough():
     # attribute scans skip precision scaling; integers survive as-is
     raw = np.array([[0.0, 17.0, 255.0]])
