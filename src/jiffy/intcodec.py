@@ -510,7 +510,7 @@ def _write_blocks(c: _BlockCosts) -> bytes:
     return buf[:size].tobytes()
 
 
-@functools.lru_cache(maxsize=None)     # at most 32 widths
+@functools.lru_cache(maxsize=None)     # at most 33 widths
 def _unpack_layout(width: int) -> tuple:
     """How a row of 128 offsets at ``width`` is read: the word type (4 bytes
     hold 7 shift bits and up to 25 value bits; wider rows take 8), the row
@@ -539,11 +539,7 @@ def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
             refs.size]
     for a, b in zip(cuts, cuts[1:]):
         sel = order[a:b]
-        width = int(widths[sel[0]])
-        if not width:                   # nothing packed
-            out[sel] = 0
-            continue
-        word, row, at, shift, mask = _unpack_layout(width)
+        word, row, at, shift, mask = _unpack_layout(int(widths[sel[0]]))
         # rows_at[p] is the row of bytes at p: one contiguous copy per block
         rows_at = np.ndarray((arr.size - row + 1, row), np.uint8, arr, 0,
                              (1, 1))
