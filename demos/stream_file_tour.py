@@ -74,4 +74,4 @@ with tempfile.TemporaryDirectory() as tmp:
         with open(bad, "rb") as f:
             list(StreamReader(f))
     except JiffyError as e:
-        print(f"corruption detected: {e}")
+        print(f"corruption detected: {e} (frame_index={e.frame_index})")

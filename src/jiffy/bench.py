@@ -97,33 +97,29 @@ def write_csv(path: str, rows: list[dict]):
 
 
 def _roundtrip(scans, mode=None):
-    """Encode ``scans`` in one timed pass and decode the records in a second.
+    """Encode ``scans`` in one pass and decode the records in a second.
 
-    Every frame is then compared sample-exact, outside both timings. Returns
-    the records, the per-frame encode and decode seconds, and the wall
-    seconds of the whole encode and decode passes.
+    Each frame's encode and decode is timed on its own; every frame is then
+    compared sample-exact, outside the timings. Returns the records and the
+    per-frame encode and decode seconds.
     """
     proto = scans[0]
     enc_state, dec_state = CodecState(), CodecState()
     encs, enc_frames = [], []
-    start = time.perf_counter()
     for scan in scans:
         t0 = time.perf_counter()
         encs.append(encode(scan, enc_state, mode))
         enc_frames.append(time.perf_counter() - t0)
-    enc_pass = time.perf_counter() - start
     decoded, dec_frames = [], []
-    start = time.perf_counter()
     for enc in encs:
         t0 = time.perf_counter()
         decoded.append(decode(enc, dec_state, proto.scan_type,
                               proto.sample_width, proto.rows, proto.cols))
         dec_frames.append(time.perf_counter() - t0)
-    dec_pass = time.perf_counter() - start
     for i, (a, b) in enumerate(zip(scans, decoded)):
         if not np.array_equal(a.samples, b.samples):
             raise AssertionError(f"decode mismatch at frame {i}")
-    return encs, enc_frames, dec_frames, enc_pass, dec_pass
+    return encs, enc_frames, dec_frames
 
 
 def _encode_unmasked(scans, stages):
@@ -166,9 +162,9 @@ def run_bench(scans: list[Scan], reps: int = 3,
     _roundtrip(scans, mode)                     # warm-up, not timed
     enc_totals, dec_totals = [], []
     for _ in range(reps):
-        encs, frame_enc, frame_dec, enc_s, dec_s = _roundtrip(scans, mode)
-        enc_totals.append(enc_s)
-        dec_totals.append(dec_s)
+        encs, frame_enc, frame_dec = _roundtrip(scans, mode)
+        enc_totals.append(sum(frame_enc))       # a pass is its frames' sum
+        dec_totals.append(sum(frame_dec))
 
     points = proto.rows * proto.cols
     in_bytes = points * proto.sample_width

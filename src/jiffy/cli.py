@@ -20,7 +20,7 @@ from . import bench as benchmod
 from . import bytecomp, rawio, synthetic
 from .codec import CodecState, Mode, decode, encode
 from .container import StreamHeader, StreamReader, StreamWriter
-from .errors import CorruptStreamError, JiffyError
+from .errors import JiffyError
 from .rawio import ELEMENT_TYPES, RawSequenceSpec
 from .scan import QuantizationSpec, Scan, ScanType, dequantize, quantize
 
@@ -190,7 +190,7 @@ def _decoded_scans(reader: StreamReader):
         try:
             scan = decode(enc, state, h.scan_type, h.sample_width, h.rows,
                           h.cols)
-        except CorruptStreamError as e:
+        except JiffyError as e:
             raise type(e)(str(e), frame_index=i) from None
         yield scan
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import bytecomp
 from .codec import EncodedScan
 from .errors import (BadMagicError, ChecksumMismatchError, CorruptStreamError,
-                     TruncatedStreamError, UnknownCodecError,
+                     JiffyError, TruncatedStreamError, UnknownCodecError,
                      UnsupportedVersionError)
 from .scan import ScanType, sample_dtype
 
@@ -131,11 +131,11 @@ class StreamReader:
     def __init__(self, source):
         self._source = source
         self.header = StreamHeader.from_bytes(self._read_exact(
-            HEADER_SIZE, None, "header"))
+            HEADER_SIZE, "header"))
         self._mask_len = (self.header.rows * self.header.cols + 7) // 8
         self._index = 0
 
-    def _read_exact(self, n: int, frame: int | None, what: str) -> bytes:
+    def _read_exact(self, n: int, what: str) -> bytes:
         # A buffered read(n) allocates n bytes up front, so a forged length
         # is read in bounded chunks and fails at the first short one.
         chunks = []
@@ -143,8 +143,7 @@ class StreamReader:
             want = min(n, _READ_CHUNK)
             chunk = self._source.read(want)
             if len(chunk) != want:
-                raise TruncatedStreamError(f"truncated {what}",
-                                           frame_index=frame)
+                raise TruncatedStreamError(f"truncated {what}")
             chunks.append(chunk)
             n -= want
         return b"".join(chunks)
@@ -163,15 +162,15 @@ class StreamReader:
         head = self._source.read(_FRAME.size)
         if not head and declared is None:
             raise StopIteration            # clean end of a streaming file
-        if len(head) != _FRAME.size:
-            raise TruncatedStreamError("truncated frame header", frame_index=i)
-        length, crc = _FRAME.unpack(head)
-        payload = self._read_exact(length, i, "frame payload")
-        if zlib.crc32(payload) != crc:
-            raise ChecksumMismatchError("frame checksum mismatch", frame_index=i)
         try:
+            if len(head) != _FRAME.size:
+                raise TruncatedStreamError("truncated frame header")
+            length, crc = _FRAME.unpack(head)
+            payload = self._read_exact(length, "frame payload")
+            if zlib.crc32(payload) != crc:
+                raise ChecksumMismatchError("frame checksum mismatch")
             enc = EncodedScan.from_bytes(payload, mask_len=self._mask_len)
-        except CorruptStreamError as e:
+        except JiffyError as e:
             raise type(e)(str(e), frame_index=i) from None
         self._index += 1
         return enc

@@ -2,19 +2,17 @@
 
 API misuse (wrong shapes, invalid parameters) raises plain ValueError/TypeError.
 Errors below are reserved for data that arrived malformed: anything a decoder
-can hit while consuming bytes it did not produce itself.
+can hit while consuming bytes it did not produce itself. Every one carries
+``frame_index``: the container frame it arose in, or None.
 """
 
 
 class JiffyError(Exception):
-    """Base class for all library-specific errors."""
-
-
-class CorruptStreamError(JiffyError):
-    """Encoded data is malformed, inconsistent, or fails validation.
+    """Base class for all library-specific errors.
 
     ``frame_index`` is set when the error can be attributed to a specific
-    frame of a container stream (None otherwise).
+    frame of a container stream (None otherwise); the message then starts
+    with ``frame N: ``.
     """
 
     def __init__(self, message: str, frame_index: int | None = None):
@@ -22,6 +20,10 @@ class CorruptStreamError(JiffyError):
             message = f"frame {frame_index}: {message}"
         super().__init__(message)
         self.frame_index = frame_index
+
+
+class CorruptStreamError(JiffyError):
+    """Encoded data is malformed, inconsistent, or fails validation."""
 
 
 class TruncatedStreamError(CorruptStreamError):

@@ -1,4 +1,5 @@
 import jiffy
+from jiffy import errors
 
 PUBLIC = [
     "BadMagicError", "ChecksumMismatchError", "CodecState",
@@ -18,3 +19,14 @@ def test_public_names_are_exactly_the_listed_ones():
 def test_every_public_name_resolves():
     for name in jiffy.__all__:
         getattr(jiffy, name)
+
+
+def test_every_error_class_carries_frame_index():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, jiffy.JiffyError)]
+    assert len(classes) == 7
+    for cls in classes:
+        e = cls("bad")
+        assert e.frame_index is None and str(e) == "bad"
+        e = cls("bad", frame_index=3)
+        assert e.frame_index == 3 and str(e) == "frame 3: bad"

@@ -14,6 +14,7 @@ from jiffy.rawio import RawSequenceSpec, read_all
 from jiffy.synthetic import generate
 
 from .refimpl import ref_dequantize, ref_quantize
+from .test_container import with_mask_codec
 
 
 def run(*argv):
@@ -207,6 +208,26 @@ def test_codec_error_names_frame_and_exits_2(tmp_path, corpus, capsys):
     assert "frame 2: value count" in capsys.readouterr().err
 
 
+def test_unknown_mask_codec_names_frame_and_exits_2(tmp_path, corpus, capsys):
+    # frame 2's mask block names codec 7; the CRC still holds
+    jfy = tmp_path / "seq.jfy"
+    run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
+    with open(jfy, "rb") as src:
+        reader = StreamReader(src)
+        header, encs = reader.header, list(reader)
+    encs[2] = with_mask_codec(encs[2], 7)
+    with open(jfy, "wb") as sink, StreamWriter(sink, header) as w:
+        for enc in encs:
+            w.write_frame(enc)
+    capsys.readouterr()
+    assert run("decompress", "--input", jfy,
+               "--output", tmp_path / "back.f32") == 2
+    assert "error: frame 2: unknown byte codec id 7" in capsys.readouterr().err
+    assert run("verify", "--input", corpus, "--shape", "16x64",
+               "--container", jfy) == 2
+    assert "error: frame 2: unknown byte codec id 7" in capsys.readouterr().err
+
+
 def test_bytes_after_declared_frames_exit_2(tmp_path, corpus, capsys):
     jfy = tmp_path / "seq.jfy"
     run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
@@ -323,15 +344,19 @@ def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_bench_reports_and_csv_json(tmp_path, corpus, capsys):
+@pytest.mark.parametrize("mode", ["auto", "i", "p"])
+def test_bench_reports_and_csv_json(tmp_path, corpus, capsys, mode):
     csv_path, json_path = tmp_path / "b.csv", tmp_path / "b.json"
     assert run("bench", "--input", corpus, "--shape", "16x64", "--reps", 2,
-               "--csv", csv_path, "--json", json_path) == 0
+               "--mode", mode, "--csv", csv_path, "--json", json_path) == 0
     out = capsys.readouterr().out
     assert "Mpts/s" in out and "ratio" in out
     report = json.loads(json_path.read_text())
     assert report["frame_count"] == 4 and report["reps"] == 2
     assert report["ratio"] > 1.0
+    forced_p = {"i": 0, "p": report["frame_count"] - 1}
+    if mode in forced_p:
+        assert report["p_scans"] == forced_p[mode]
     assert csv_path.read_text().count("\n") == 6   # header + 4 frames + agg
 
 

@@ -2,6 +2,7 @@ import io
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from jiffy.errors import (BadMagicError, ChecksumMismatchError,
                           TruncatedStreamError, UnknownCodecError,
                           UnsupportedVersionError)
 from jiffy.scan import Scan, ScanType
-from jiffy.varint import encode_uvarint
+from jiffy.varint import decode_uvarint, encode_uvarint
 
 from .test_codec import forged_count_record
 
@@ -43,6 +44,13 @@ def build_stream(scans, frame_count=None):
         for s in scans:
             w.write_frame(encode(s, state))
     return buf.getvalue()
+
+
+def with_mask_codec(enc, codec_id):
+    """``enc`` with the codec id byte of its mask block set to ``codec_id``."""
+    _, pos = decode_uvarint(enc.mask_block, 0)
+    block = enc.mask_block[:pos] + bytes([codec_id]) + enc.mask_block[pos + 1:]
+    return replace(enc, mask_block=block)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,15 @@ def test_header_rejections():
     body[15] = 200                                       # mask_codec
     with pytest.raises(UnknownCodecError):
         StreamHeader.from_bytes(_with_fixed_crc(bytes(body)))
+
+
+def test_header_codec_error_names_no_frame():
+    body = bytearray(GOLDEN_HEADER[:20])
+    body[15] = 7                                         # mask_codec
+    with pytest.raises(UnknownCodecError) as ei:
+        StreamReader(io.BytesIO(_with_fixed_crc(bytes(body))))
+    assert ei.value.frame_index is None
+    assert str(ei.value) == "unknown mask codec id 7"
 
 
 def test_header_field_validation():
@@ -200,6 +217,24 @@ def test_codec_error_wrapped_with_frame_index():
     with pytest.raises(CorruptStreamError) as ei:
         next(reader)
     assert ei.value.frame_index == 0
+
+
+@pytest.mark.parametrize("codec_id", [bytecomp.ZSTD_RESERVED, 7])
+def test_unknown_mask_codec_names_its_frame(codec_id):
+    # frame 2's mask block names a codec this build cannot decode; its CRC
+    # is valid, so the codec id is what the reader rejects
+    state = CodecState()
+    encs = [encode(s, state) for s in small_scans(3)]
+    encs[2] = with_mask_codec(encs[2], codec_id)
+    buf = io.BytesIO()
+    with StreamWriter(buf, StreamHeader(ScanType.RANGE, 2, 4,
+                                        frame_count=3)) as w:
+        for enc in encs:
+            w.write_frame(enc)
+    with pytest.raises(UnknownCodecError) as ei:
+        list(StreamReader(io.BytesIO(buf.getvalue())))
+    assert ei.value.frame_index == 2
+    assert str(ei.value).startswith("frame 2: ")
 
 
 def test_oversized_mask_rejected_before_inflating():
