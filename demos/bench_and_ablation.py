@@ -1,13 +1,15 @@
 """
-Measure the codec: throughput, pipeline ablation, precision sweep
-=================================================================
+Measure the codec: throughput, ablation, precision sweep, mode heuristic
+========================================================================
 
 Runs the benchmark harness on a synthetic driving-style sequence and
-prints the three tables the harness knows how to produce.
+prints the four reports the harness knows how to produce. Each one
+decodes what it encodes and checks it sample-exact before reporting.
 """
 
 from jiffy import QuantizationSpec, quantize
-from jiffy.bench import run_ablation, run_bench, run_sweep
+from jiffy.bench import (run_ablation, run_bench, run_heuristic_eval,
+                         run_sweep)
 from jiffy.synthetic import generate
 
 frames, rows, cols = 30, 64, 512
@@ -38,3 +40,11 @@ print("\nprecision sweep:")
 for row in run_sweep(seq, [1000, 2000, 4000, 8000]):
     print(f"  {row['precision_um']:>5} um  ratio {row['ratio']:5.2f}  "
           f"{row['bits_per_sample']:5.2f} bits/sample")
+
+# the per-scan I/P choice: trial-compressing a few scanlines against fully
+# encoding every frame both ways
+h = run_heuristic_eval(scans)
+print(f"\nmode heuristic over {h['frames_evaluated']} frames: "
+      f"accuracy {h['accuracy']:.1%}, "
+      f"picked I when P was smaller {h['suboptimal_i_rate']:.1%}, "
+      f"picked P when I was smaller {h['suboptimal_p_rate']:.1%}")

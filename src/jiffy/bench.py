@@ -3,9 +3,9 @@
 Everything here works on in-memory frames so the reported rates are codec
 rates, not disk rates. Encode and decode are timed separately with a warm-up
 pass excluded; repetitions give a timing spread. ``run_bench``,
-``run_ablation`` and ``run_sweep`` decode every pass they encode and compare
-it sample-exact, so a reported number from a broken build is impossible;
-``run_heuristic_eval`` compares encoded sizes only.
+``run_ablation``, ``run_sweep`` and ``run_heuristic_eval`` decode every pass
+they encode and compare it sample-exact, so a reported number from a broken
+build is impossible.
 
 The ablation's partial pipelines live here, not in the codec: the unmasked
 rungs run their value stages straight into PFOR and check their own round
@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bytecomp
-from .codec import CodecState, EncodedScan, Mode, decode, encode, select_mode
+from .codec import CodecState, EncodedScan, Mode, decode, encode
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        zigzag_unwrap, zigzag_wrap)
 from .scan import QuantizationSpec, Scan, ScanType, quantize
@@ -257,26 +257,26 @@ def run_heuristic_eval(scans: list[Scan]) -> dict:
     """Compare the shipping trial compression of ``TEST_LINES`` scanlines
     against brute force.
 
-    For every frame after the first, fully encode both ways and call the
-    smaller one optimal (tie: either counts as correct). Reports overall
-    accuracy plus how often each mode was picked when the other was strictly
-    smaller.
+    Three verified round trips give the facts: the mode-selected run's
+    records carry the trial's choice, and the runs forced to I and to P
+    carry the two full sizes it chose between (an I encode ignores the
+    reference; the P run chains the same scans). For every frame after the
+    first, the smaller size is optimal (tie: either counts as correct).
+    Reports overall accuracy plus how often each mode was picked when the
+    other was strictly smaller.
     """
     if len(scans) < 2:
         raise ValueError("heuristic evaluation needs at least 2 scans")
-    state = CodecState()
-    encode(scans[0], state)       # frame 0 has no reference: not evaluated
-
-    evaluated = sub_i = sub_p = 0
-    for scan in scans[1:]:
-        choice = select_mode(scan, state)
-        size_i = encode(scan, CodecState(), Mode.I).total_bytes
-        size_p = encode(scan, state, Mode.P).total_bytes    # moves state on
-        if choice == Mode.I and size_p < size_i:
+    # frame 0 has no reference: not evaluated
+    runs = [_roundtrip(scans, mode)[0][1:] for mode in (None, Mode.I, Mode.P)]
+    evaluated = len(scans) - 1
+    sub_i = sub_p = 0
+    for picked, forced_i, forced_p in zip(*runs):
+        size_i, size_p = forced_i.total_bytes, forced_p.total_bytes
+        if picked.mode == Mode.I and size_p < size_i:
             sub_i += 1
-        elif choice == Mode.P and size_i < size_p:
+        elif picked.mode == Mode.P and size_i < size_p:
             sub_p += 1
-        evaluated += 1
     return {
         "frames_evaluated": evaluated,
         "accuracy": 1.0 - (sub_i + sub_p) / evaluated,

@@ -67,13 +67,14 @@ def _precisions(text: str) -> list[int]:
 
 def _add_raw_input(p: _Parser):
     p.add_argument("--input", required=True, help="raw frame dump to read")
-    p.add_argument("--shape", required=True, type=_shape,
-                   help="frame shape as ROWSxCOLS, e.g. 128x1024")
     p.add_argument("--etype", default="float32", choices=sorted(ELEMENT_TYPES),
                    help="raw element type (default float32)")
 
 
-def _add_sample_format(p: _Parser):
+def _add_frame_format(p: _Parser):
+    """What a raw dump cannot tell; verify reads it from the container."""
+    p.add_argument("--shape", required=True, type=_shape,
+                   help="frame shape as ROWSxCOLS, e.g. 128x1024")
     p.add_argument("--scan-type", default="range", choices=sorted(_SCAN_TYPES),
                    help="scan payload kind (default range)")
     p.add_argument("--sample-width", type=int, default=2, choices=(1, 2, 4),
@@ -84,7 +85,7 @@ def _add_sample_format(p: _Parser):
 def _add_scan_input(p: _Parser):
     """Raw frames turned into scans: float frames are quantized."""
     _add_raw_input(p)
-    _add_sample_format(p)
+    _add_frame_format(p)
     p.add_argument("--precision-um", type=int, default=1000,
                    help="quantization step in micrometers (default 1000)")
 
@@ -127,7 +128,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sweep", help="ratio vs quantization precision")
     _add_raw_input(s)
-    _add_sample_format(s)
+    _add_frame_format(s)
     s.add_argument("--precisions", required=True, type=_precisions,
                    help="comma-separated precisions in micrometers")
     s.add_argument("--csv", help="write the table to this CSV file")
@@ -296,14 +297,10 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
     with open(args.container, "rb") as src:
         reader = StreamReader(src)
         h = reader.header
-        if (h.rows, h.cols) != tuple(args.shape):
-            print(f"verify FAILED: container is {h.rows}x{h.cols}, "
-                  f"raw input declared {args.shape[0]}x{args.shape[1]}")
-            return EXIT_CORRUPT
+        spec = RawSequenceSpec(args.input, args.etype, h.rows, h.cols)
         qspec = QuantizationSpec(h.precision_um, h.sample_width)
         n = 0
         for scan, frame in itertools.zip_longest(_decoded_scans(reader),

@@ -69,6 +69,13 @@ def test_every_timed_pass_is_verified(monkeypatch):
     assert len(calls) == 2 * len(scans)
 
 
+def test_empty_inputs_rejected(tmp_path):
+    with pytest.raises(ValueError, match="no rows"):
+        bench.write_csv(tmp_path / "empty.csv", [])
+    with pytest.raises(ValueError, match="no scans"):
+        run_ablation([])
+
+
 def test_static_beats_random():
     static = run_bench(scans_of("static_scene"), reps=1)
     rand = run_bench(scans_of("random"), reps=1)
@@ -160,6 +167,51 @@ def test_heuristic_perfect_on_easy_splits():
     rand = run_heuristic_eval(scans_of("random", frames=6))
     assert rand["accuracy"] == pytest.approx(1.0)
     assert rand["suboptimal_p_rate"] == 0.0
+
+
+# two 16x256 frames, each row a ramp or nonzero noise; select_mode tries
+# rows 0, 4, 8 and 12, and the other rows decide the full sizes
+RAMP = np.broadcast_to(1000 + np.arange(256, dtype=np.uint16), (16, 256))
+NOISE = np.random.default_rng(5).integers(1, 1 << 16, size=(16, 256),
+                                          dtype=np.uint16)
+TRIAL_ROWS = np.isin(np.arange(16), [0, 4, 8, 12])[:, None]
+
+
+@pytest.mark.parametrize("frames,picked", [
+    # the trial rows stay put, so P is picked; the other rows turn from
+    # noise into the ramp, so I is smaller
+    ([(RAMP, NOISE), (RAMP, RAMP)], "p"),
+    # the trial rows turn into the ramp, so I is picked; the other rows
+    # repeat their noise, so P is smaller
+    ([(NOISE, NOISE), (RAMP, NOISE)], "i"),
+])
+def test_heuristic_counts_misleading_trials(frames, picked):
+    scans = [Scan(ScanType.RANGE, 2, np.where(TRIAL_ROWS, trial, other))
+             for trial, other in frames]
+    assert run_heuristic_eval(scans) == {
+        "frames_evaluated": 1,
+        "accuracy": 0.0,
+        "suboptimal_i_rate": float(picked == "i"),
+        "suboptimal_p_rate": float(picked == "p"),
+    }
+
+
+def test_heuristic_eval_is_verified(monkeypatch):
+    scans = scans_of("static_scene", frames=3)
+    real_decode, calls = bench.decode, []
+
+    def flipping_decode(*args):
+        scan = real_decode(*args)
+        calls.append(1)
+        if len(calls) != 2:             # only frame 1 of the first run
+            return scan
+        samples = scan.samples.copy()
+        samples[0, 0] ^= 1
+        return Scan(scan.scan_type, scan.sample_width, samples)
+
+    monkeypatch.setattr(bench, "decode", flipping_decode)
+    with pytest.raises(AssertionError, match="frame 1"):
+        run_heuristic_eval(scans)
 
 
 def test_heuristic_eval_needs_two_scans():

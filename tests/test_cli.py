@@ -44,8 +44,7 @@ def test_compress_verify_decompress_workflow(tmp_path, corpus, capsys):
     out = capsys.readouterr().out
     assert "ratio" in out and "I-scans" in out
 
-    assert run("verify", "--input", corpus, "--shape", "16x64",
-               "--container", jfy) == 0
+    assert run("verify", "--input", corpus, "--container", jfy) == 0
     assert "verify OK: 4 frames sample-exact" in capsys.readouterr().out
 
     back = tmp_path / "back.f32"
@@ -147,8 +146,7 @@ def test_verify_detects_mismatched_input(tmp_path, corpus, capsys):
     run("gen", "--kind", "static_scene", "--frames", 4, "--shape", "16x64",
         "--seed", 99, "--output", other)
     capsys.readouterr()
-    assert run("verify", "--input", other, "--shape", "16x64",
-               "--container", jfy) == 2
+    assert run("verify", "--input", other, "--container", jfy) == 2
     assert "FAILED" in capsys.readouterr().out
 
 
@@ -165,8 +163,7 @@ def test_verify_detects_frame_count_mismatch(tmp_path, corpus, capsys,
     other = tmp_path / "other.f32"
     other.write_bytes((data + data)[:raw_frames * frame_bytes])
     capsys.readouterr()
-    assert run("verify", "--input", other, "--shape", "16x64",
-               "--container", jfy) == 2
+    assert run("verify", "--input", other, "--container", jfy) == 2
     assert f"verify FAILED: {message}" in capsys.readouterr().out
 
 
@@ -203,8 +200,7 @@ def test_codec_error_names_frame_and_exits_2(tmp_path, corpus, capsys):
     assert run("decompress", "--input", jfy,
                "--output", tmp_path / "back.f32") == 2
     assert "frame 2: value count" in capsys.readouterr().err
-    assert run("verify", "--input", corpus, "--shape", "16x64",
-               "--container", jfy) == 2
+    assert run("verify", "--input", corpus, "--container", jfy) == 2
     assert "frame 2: value count" in capsys.readouterr().err
 
 
@@ -223,8 +219,7 @@ def test_unknown_mask_codec_names_frame_and_exits_2(tmp_path, corpus, capsys):
     assert run("decompress", "--input", jfy,
                "--output", tmp_path / "back.f32") == 2
     assert "error: frame 2: unknown byte codec id 7" in capsys.readouterr().err
-    assert run("verify", "--input", corpus, "--shape", "16x64",
-               "--container", jfy) == 2
+    assert run("verify", "--input", corpus, "--container", jfy) == 2
     assert "error: frame 2: unknown byte codec id 7" in capsys.readouterr().err
 
 
@@ -241,24 +236,27 @@ def test_bytes_after_declared_frames_exit_2(tmp_path, corpus, capsys):
         assert run("decompress", "--input", bad, "--output", back) == 2
         assert "after the last of 4 declared frames" in capsys.readouterr().err
         assert not back.exists()            # no complete-looking output left
-        assert run("verify", "--input", corpus, "--shape", "16x64",
-                   "--container", bad) == 2
+        assert run("verify", "--input", corpus, "--container", bad) == 2
         assert "after the last of 4 declared frames" in capsys.readouterr().err
     back.write_bytes(b"kept")               # a path that was there stays
     assert run("decompress", "--input", junk, "--output", back) == 2
     assert back.read_bytes() == b"kept"
 
 
-def test_verify_detects_shape_mismatch(tmp_path, capsys):
+def test_verify_reads_raw_at_container_geometry(tmp_path, capsys):
+    # the container header gives the raw frames' rows and cols
     raw, jfy = tmp_path / "small.f32", tmp_path / "small.jfy"
     run("gen", "--kind", "random", "--frames", 2, "--shape", "4x8",
         "--output", raw)
     run("compress", "--input", raw, "--shape", "4x8", "--output", jfy)
     capsys.readouterr()
-    assert run("verify", "--input", raw, "--shape", "8x4",
-               "--container", jfy) == 2
-    assert ("verify FAILED: container is 4x8, raw input declared 8x4"
-            in capsys.readouterr().out)
+    assert run("verify", "--input", raw, "--container", jfy) == 0
+    assert "verify OK: 2 frames sample-exact" in capsys.readouterr().out
+    ragged = tmp_path / "ragged.f32"          # one and a half 4x8 frames
+    ragged.write_bytes(raw.read_bytes()[:192])
+    assert run("verify", "--input", ragged, "--container", jfy) == 1
+    assert ("size 192 is not a whole number of 128-byte frames"
+            in capsys.readouterr().err)
 
 
 def test_decompress_to_narrower_integers_exits_1(tmp_path, corpus, capsys):
@@ -282,8 +280,7 @@ def test_empty_raw_input_round_trips(tmp_path, capsys):
     assert run("decompress", "--input", jfy, "--output", back) == 0
     assert capsys.readouterr().out == f"wrote {back}: 0 frames\n"
     assert back.read_bytes() == b""
-    assert run("verify", "--input", empty, "--shape", "4x8",
-               "--container", jfy) == 0
+    assert run("verify", "--input", empty, "--container", jfy) == 0
     assert "verify OK: 0 frames" in capsys.readouterr().out
 
 
@@ -306,6 +303,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         run("no-such-command")
     assert ei.value.code == 1
     capsys.readouterr()
+    for argv, message in (
+            (("compress", "--shape", "0x64"), "shape must be positive"),
+            (("sweep", "--precisions", "1000,1mm"),
+             "precisions must be comma-separated integers"),
+            (("sweep", "--precisions", "1000,0"),
+             "precisions must be positive"),
+            (("sweep", "--precisions", ","), "precisions must be positive")):
+        with pytest.raises(SystemExit) as ei:
+            run(*argv)
+        assert ei.value.code == 1
+        assert message in capsys.readouterr().err
     # runtime usage problems return 1 without raising
     assert run("compress", "--input", tmp_path / "absent.f32",
                "--shape", "4x4", "--output", tmp_path / "o.jfy") == 1
@@ -318,6 +326,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("sweep", "--input", empty, "--shape", "4x8",
                "--precisions", "1000") == 1
     assert "non-empty" in capsys.readouterr().err
+    for command in ("bench", "ablate", "heuristic-eval"):
+        assert run(command, "--input", empty, "--shape", "4x8") == 1
+        assert f"{empty}: no frames" in capsys.readouterr().err
     for noise in ("nan", "-5"):
         assert run("gen", "--kind", "static_scene", "--frames", "1",
                    "--shape", "4x8", "--noise-mm", noise,
@@ -327,12 +338,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):
-    # verify takes scan type, width and precision from the container header;
-    # sweep takes its precisions from --precisions; heuristic-eval measures
-    # the shipping trial size
+    # verify takes geometry, scan type, width and precision from the
+    # container header; sweep takes its precisions from --precisions;
+    # heuristic-eval measures the shipping trial size
     jfy = tmp_path / "seq.jfy"
     run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
     for argv in (("verify", "--input", corpus, "--shape", "16x64",
+                  "--container", jfy),
+                 ("verify", "--input", corpus,
                   "--scan-type", "signal", "--container", jfy),
                  ("sweep", "--input", corpus, "--shape", "16x64",
                   "--precision-um", 7, "--precisions", "1000"),
@@ -366,10 +379,16 @@ def test_sweep_and_ablate_and_heuristic(tmp_path, capsys):
         "--sparsity", "0.1", "--output", raw)
     capsys.readouterr()
 
+    sweep_csv = tmp_path / "sweep.csv"
     assert run("sweep", "--input", raw, "--shape", "32x256",
-               "--precisions", "1000,2000") == 0
+               "--precisions", "1000,2000", "--csv", sweep_csv) == 0
     out = capsys.readouterr().out
     assert "1000" in out and "2000" in out and "bits/sample" in out
+    with open(sweep_csv) as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["precision_um", "bits_per_sample", "output_bytes",
+                       "ratio"]
+    assert [r[0] for r in rows[1:]] == ["1000", "2000"]
 
     csv_path = tmp_path / "ab.csv"
     assert run("ablate", "--input", raw, "--shape", "32x256",
@@ -389,8 +408,7 @@ def test_compress_forced_modes_roundtrip(tmp_path, corpus):
         jfy = tmp_path / f"m_{mode}.jfy"
         assert run("compress", "--input", corpus, "--shape", "16x64",
                    "--mode", mode, "--output", jfy) == 0
-        assert run("verify", "--input", corpus, "--shape", "16x64",
-                   "--container", jfy) == 0
+        assert run("verify", "--input", corpus, "--container", jfy) == 0
 
 
 @pytest.mark.parametrize("flags,byte,value", [
@@ -405,8 +423,7 @@ def test_compress_header_flags_roundtrip(tmp_path, corpus, capsys, flags,
     assert run("compress", "--input", corpus, "--shape", "16x64", *flags,
                "--output", jfy) == 0
     assert jfy.read_bytes()[byte] == value
-    assert run("verify", "--input", corpus, "--shape", "16x64",
-               "--container", jfy) == 0
+    assert run("verify", "--input", corpus, "--container", jfy) == 0
     back = tmp_path / "back.f32"
     assert run("decompress", "--input", jfy, "--output", back) == 0
     assert back.stat().st_size == 4 * 16 * 64 * 4
@@ -422,7 +439,7 @@ def test_compress_integer_input_keeps_width(tmp_path, capsys):
     assert run("compress", "--input", raw, "--shape", "4x8",
                "--etype", "uint16", "--scan-type", "signal",
                "--output", jfy) == 0
-    assert run("verify", "--input", raw, "--shape", "4x8",
+    assert run("verify", "--input", raw,
                "--etype", "uint16", "--container", jfy) == 0
     out = tmp_path / "back.u16"
     assert run("decompress", "--input", jfy, "--etype", "uint16",

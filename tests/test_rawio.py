@@ -56,6 +56,12 @@ def test_unknown_element_type(tmp_path):
         spec_for(tmp_path, "x.bin", "float64")
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 8), (4, 0)])
+def test_nonpositive_geometry_rejected(tmp_path, rows, cols):
+    with pytest.raises(ValueError, match="positive"):
+        spec_for(tmp_path, "x.bin", "uint16", rows=rows, cols=cols)
+
+
 def test_little_endian_on_disk(tmp_path):
     spec = spec_for(tmp_path, "le.bin", "uint16", rows=1, cols=2)
     write_frames(spec.path, np.array([[[0x0102, 0x0304]]], dtype=np.uint16),

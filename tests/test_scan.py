@@ -21,6 +21,8 @@ def test_quantize_known_values():
     scan = quantize(raw, MM)
     # 3.0005 m at 1 mm sits exactly on a tie; ties go to even (3000)
     assert scan.samples.tolist() == [[1234, 0, 3000, 0, 0, 65535]]
+    # an object array converts as floats
+    assert quantize(raw.astype(object), MM) == scan
 
 
 def test_dequantize_known_values():
@@ -207,6 +209,9 @@ def test_quantize_rejects_bad_input():
         QuantizationSpec(precision_um=0)
     with pytest.raises(ValueError):
         QuantizationSpec(sample_width=3)
+    scan = quantize(np.ones((1, 2)), MM)
+    with pytest.raises(ValueError, match="widths differ"):
+        dequantize(scan, QuantizationSpec(precision_um=1000, sample_width=4))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ def test_zero_sparsity_has_no_dropout():
     assert (seq > 0).all()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_full_sparsity_is_all_dropout(kind):
+    seq = generate(kind, 2, 16, 32, sparsity=1.0, seed=2)
+    assert (seq == 0).all()
+
+
 def test_static_frames_change_little():
     seq = generate("static_scene", 4, 32, 64, sparsity=0.1, seed=4)
     both = (seq[0] > 0) & (seq[1] > 0)
