@@ -40,30 +40,42 @@ def extract_mask(samples: np.ndarray) -> np.ndarray:
     return np.asarray(samples) == 0
 
 
-def compact(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-major samples at mask-False positions, as a 1D uint32 vector."""
+def _clear_index(mask: np.ndarray) -> np.ndarray:
+    """The clear samples of the raveled ``mask`` in the form that moves
+    them fastest: flat indices on a fragmented mask, else the boolean
+    ``~mask``."""
+    clear = ~mask.reshape(-1)
+    return np.flatnonzero(clear) if _fragmented(mask) else clear
+
+
+def compact(samples: np.ndarray, mask: np.ndarray, *,
+            index: np.ndarray | None = None) -> np.ndarray:
+    """Row-major samples at mask-False positions, as a 1D uint32 vector.
+
+    ``index``, when given, is the mask's clear-sample index from an earlier
+    call, so a caller moving samples both ways selects them once.
+    """
     samples = np.asarray(samples)
     if samples.shape != mask.shape:
         raise ValueError("mask shape does not match samples")
-    if _fragmented(mask):
-        values = samples.ravel().take(np.flatnonzero(~mask.ravel()))
-    else:
-        values = samples[~mask]
+    if index is None:
+        index = _clear_index(mask)
+    flat = samples.reshape(-1)
+    values = flat[index] if index.dtype == bool else flat.take(index)
     return values.astype(np.uint32, copy=False)
 
 
-def expand(values: np.ndarray, mask: np.ndarray, dtype) -> np.ndarray:
-    """Inverse of :func:`compact`: zeros where masked, values elsewhere."""
+def expand(values: np.ndarray, mask: np.ndarray, dtype, *,
+           index: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`compact`: zeros where masked, values elsewhere;
+    ``index`` as there."""
     values = np.asarray(values)
     n = int(mask.size - np.count_nonzero(mask))
     if values.size != n:
         raise CorruptStreamError(
             f"value count {values.size} does not match mask ({n} clear bits)")
     out = np.zeros(mask.shape, dtype=dtype)
-    if _fragmented(mask):
-        out.ravel()[np.flatnonzero(~mask.ravel())] = values
-    else:
-        out[~mask] = values
+    out.reshape(-1)[_clear_index(mask) if index is None else index] = values
     return out
 
 

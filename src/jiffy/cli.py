@@ -406,7 +406,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except JiffyError as e:
+    except (JiffyError, AssertionError) as e:
+        # the harness commands raise AssertionError on a decode mismatch
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CORRUPT
     except (OSError, ValueError) as e:

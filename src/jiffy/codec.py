@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import bytecomp
-from .bitmask import (compact, expand, extract_mask, pack_mask, unpack_mask,
-                      xor_mask)
+from .bitmask import (_clear_index, compact, expand, extract_mask, pack_mask,
+                      unpack_mask, xor_mask)
 from .errors import CorruptStreamError
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        pfor_size, zigzag_unwrap, zigzag_wrap)
@@ -165,9 +165,12 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
         # residuals against the previous scan; uint32 wraps
         values = np.subtract(values, state.samples, dtype=np.uint32)
     mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
+    # each stage drops its input, so PFOR runs beside the ZigZag codes alone
     values = compact(values, mask)
+    values = delta_wrap(values)
+    values = zigzag_wrap(values)
     enc = EncodedScan(Mode.P if is_p else Mode.I, values.size, mask_block,
-                      pfor_encode(zigzag_wrap(delta_wrap(values))))
+                      pfor_encode(values))
     # a copy: the caller may refill its buffer before the next scan
     state.samples, state.mask = scan.samples.copy(), mask
     return enc
@@ -196,18 +199,21 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     if enc.value_count != clear:
         raise CorruptStreamError(
             f"value count {enc.value_count} does not match mask ({clear})")
-    codes = pfor_decode(enc.value_block, clear)
-    values = zigzag_unwrap(codes)
+    # the PFOR codes are dropped once ZigZag has read them
+    values = zigzag_unwrap(pfor_decode(enc.value_block, clear))
     if not (is_p and enc.residual_plain):   # mode bit1 counts on P-scans only
         values = delta_unwrap(values)
-    if is_p:
-        values = compact(state.samples, cur_mask) + values  # uint32, wraps back
+    # one selection of the clear samples serves compact and expand
+    index = _clear_index(cur_mask)
+    if is_p:    # uint32, wraps back
+        values = compact(state.samples, cur_mask, index=index) + values
 
     if values.size and int(values.max()) > int(np.iinfo(dtype).max):
         raise CorruptStreamError("decoded sample exceeds sample width")
     if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
-    samples = expand(values, cur_mask, dtype)
+    samples = expand(values, cur_mask, dtype, index=index)
+    del values, index       # before the copy below
     # a copy: the caller may edit the samples it gets back
     state.samples, state.mask = samples.copy(), cur_mask
     return Scan(scan_type, sample_width, samples)

@@ -25,17 +25,26 @@ Encoding is two steps over full rows of 128 values, as the decoder reads
 them, a short last block padded with its own minimum (offset 0: never an
 exception, zero packed bits): a cost step finds each block's reference,
 offsets and cheapest width, and a write step lays the bytes out. Every size
-comes from the int32 bit lengths of the block minima and offsets, taken once
-in the cost step. A reference of bit length l takes ``max(ceil(l/7), 1)``
-varint bytes. At width w < l an offset costs a position byte and
-``ceil((l - w)/7)`` remainder bytes, so one float64 matmul of the per-block
-bit-length histogram against that 33x33 table, plus the packed-area bytes,
-costs all 33 widths, and ``argmin`` keeps the cheapest. The exception count
-is one byte: a block minimum is offset 0, so a block has at most 127
-exceptions. :func:`pfor_size` runs the cost step alone, so it equals
-``len(pfor_encode(row))`` for each row of its input without packing
+comes from the uint8 bit lengths of the block minima and offsets, taken once
+in the cost step as the exponents of a float32 ``frexp`` (exact below 2^24;
+an array holding a longer value is read again from float64). A reference of
+bit length l takes ``max(ceil(l/7), 1)`` varint bytes. At width w < l an
+offset costs a position byte and ``ceil((l - w)/7)`` remainder bytes, so one
+float64 matmul of the per-block bit-length histogram against that 33x33
+table, plus the packed-area bytes, costs all 33 widths, and ``argmin`` keeps
+the cheapest. The cost step keeps each block's exception count, read at its
+width off one forward cumsum of the histogram, and drops the histogram. The
+exception count is one byte: a block minimum is offset 0, so a block has at
+most 127 exceptions. :func:`pfor_size` runs the cost step alone, so it
+equals ``len(pfor_encode(row))`` for each row of its input without packing
 anything; the I/P mode trial sizes its two test streams, two rows of one
 array, with it.
+
+Beside the caller's values, the encoder's frame-sized arrays are the uint32
+offsets and their uint8 bit lengths, plus one temporary at a time: the
+float32 copy for the bit lengths, the int64 histogram index, then each
+width's offsets widened to uint64 for packing (their uint32 gather is freed
+before packing starts).
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -47,12 +56,11 @@ row ends in zero bytes past its packed area, overwritten or cut off later.
 
 The exceptions of all blocks are then written in one flat pass. A single
 ``np.flatnonzero`` over the offsets wider than their block's width gives
-flat indices, split into block and position by 128; they run
-block-major, so each block's exceptions form one run in stream order.
-The width bytes and the exception counts, read at each block's width off
-one forward cumsum of the histogram, go out in two scatters, every
-position byte in one more, and every remainder in one
-:func:`~jiffy.varint.write_uvarints` call.
+flat indices, whose low 7 bits are the positions; they run block-major, so
+each block's exceptions form one run in stream order, as long as its count,
+and per-block values reach them by ``np.repeat``. The width bytes and the
+exception counts go out in two scatters, every position byte in one more,
+and every remainder in one :func:`~jiffy.varint.write_uvarints` call.
 
 Decoding is one parse, which :func:`pfor_decode` and :func:`iter_blocks`
 both read (the exceptions it patches in are also the ones
@@ -308,6 +316,7 @@ def _pfor_parse(data, count=None):
                     count_cont = buf.translate(_CONTINUATION).count
                 need = count_cont(1, pos, stop)
                 pos = stop
+    del count_cont                  # frees the translated copy of the stream
     if pos != total:
         raise CorruptStreamError("trailing bytes after final block")
     if n == 0:
@@ -381,45 +390,54 @@ def _as_u32(values) -> np.ndarray:
 
 
 def _bit_lengths(a: np.ndarray) -> np.ndarray:
-    # frexp's int32 exponent equals bit_length for positive integers (exact
-    # below 2^53); the mantissas overwrite the float64 copy
-    f = a.astype(np.float64)
-    return np.frexp(f, out=(f, None))[1]
+    """Bit length of each uint32 of ``a``, as uint8 of ``a``'s shape.
+
+    frexp's exponent of a float32 copy is the bit length below 2^24. A
+    longer value can round up to the next power of two and read one bit
+    long, so an array holding one is read again from an exact float64 copy.
+    """
+    f = a.astype(np.float32)
+    out = np.frexp(f, out=(f, np.empty(a.shape, dtype=np.uint8)),
+                   casting="unsafe")[1]
+    if out.size and out.max() > 24:
+        del f
+        f = a.astype(np.float64)
+        np.frexp(f, out=(f, out), casting="unsafe")
+    return out
 
 
 @functools.lru_cache(maxsize=None)     # at most 32 widths
 def _pack_layout(width: int) -> tuple:
-    """Where a block's 128 offsets go among its 64-bit words, as read-only
-    arrays: each offset's left shift; the first offset of each word's run
-    and that word; the offsets crossing into the next word, their right
-    shift and the word they spill into."""
+    """Where a block's 128 offsets go among its 2*width 64-bit words, as
+    read-only arrays: each offset's left shift; the first offset of each
+    word's run (every word starts one, as width <= 32); the offsets crossing
+    into the next word, their right shift and the word they spill into."""
     bit = np.arange(BLOCK_SIZE, dtype=np.int64) * width
     word = bit >> 6
     shift = (bit & 63).astype(np.uint64)
     first = np.flatnonzero(np.diff(word, prepend=-1))
     cross = np.flatnonzero(shift > np.uint64(64 - width))
-    layout = (shift, first, word[first], cross,
-              np.uint64(64) - shift[cross], word[cross] + 1)
+    layout = (shift, first, cross, np.uint64(64) - shift[cross],
+              word[cross] + 1)
     for a in layout:
         a.flags.writeable = False
     return layout
 
 
 def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
-    """Pack the low ``width`` bits of each uint32, LSB-first, in 64-bit
+    """Pack the low ``width`` bits of each offset, LSB-first, in 64-bit
     words (see the module docstring).
 
-    offsets: (m, 128) uint32 -> (m, 16*width) uint8.
+    offsets: (m, 128) uint32, or uint64, which is packed in place and
+    overwritten -> (m, 16*width) uint8.
     """
-    shift, first, first_word, cross, spill_shift, spill_word = \
-        _pack_layout(width)
-    v = offsets.astype(np.uint64)
+    shift, first, cross, spill_shift, spill_word = _pack_layout(width)
+    v = offsets.astype(np.uint64, copy=False)
     if width < 32:
         v &= np.uint64((1 << width) - 1)    # exceptions carry higher bits
     spill = v[:, cross] >> spill_shift
     v <<= shift
-    words = np.zeros((len(offsets), 2 * width), dtype="<u8")
-    words[:, first_word] = np.add.reduceat(v, first, axis=1)
+    words = np.add.reduceat(v, first, axis=1).astype("<u8", copy=False)
     words[:, spill_word] += spill
     return words.view(np.uint8)
 
@@ -430,9 +448,9 @@ class _BlockCosts(NamedTuple):
     refs: np.ndarray        # (nblk,) block minima
     blens: np.ndarray       # (nblk,) values in the block; the rest pad
     off: np.ndarray         # (nblk, 128) offsets from the minimum
-    bitlen: np.ndarray      # (nblk, 128) int32 offset bit lengths
+    bitlen: np.ndarray      # (nblk, 128) uint8 offset bit lengths
     ref_vlen: np.ndarray    # (nblk,) reference varint bytes
-    hist: np.ndarray        # (nblk, 33) offsets of each bit length
+    exc_counts: np.ndarray  # (nblk,) offsets longer than the width
     widths: np.ndarray      # (nblk,) cheapest width, ties to the smaller
     sizes: np.ndarray       # (nblk,) encoded block bytes at that width
 
@@ -455,34 +473,40 @@ def _block_costs(v: np.ndarray) -> _BlockCosts:
     blens = np.tile(np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.arange(nb)), m)
     bitlen = _bit_lengths(off)
     # Per-block histogram over offset bit lengths, 33 bins.
-    idx = bitlen + np.arange(0, nblk * 33, 33)[:, None]
-    hist = np.bincount(idx.ravel(), minlength=nblk * 33).reshape(nblk, 33)
+    idx = np.add(bitlen, np.arange(0, nblk * 33, 33)[:, None], dtype=np.int64)
+    hist = np.bincount(idx.reshape(-1), minlength=nblk * 33).reshape(nblk, 33)
+    del idx
     # exception and packed-area bytes at each width; exact in float64
     cost = hist @ _EXC_BYTES
     cost += _PACKED_BYTES.take(blens, axis=0)
     bw = cost.argmin(axis=1)                        # ties -> smaller width
+    blocks = np.arange(nblk)
+    # the offsets longer than the width: 128 less the rest, padding included
+    exc_counts = BLOCK_SIZE - hist.cumsum(axis=1)[blocks, bw]
     ref_vlen = (np.maximum(_bit_lengths(refs), 1) + 6) // 7
     # plus the reference, the width byte and the one-byte exception count
-    sizes = cost[np.arange(nblk), bw].astype(np.int64) + ref_vlen + 2
-    return _BlockCosts(refs, blens, off, bitlen, ref_vlen, hist, bw, sizes)
+    sizes = cost[blocks, bw].astype(np.int64) + ref_vlen + 2
+    return _BlockCosts(refs, blens, off, bitlen, ref_vlen, exc_counts, bw,
+                       sizes)
 
 
 def _write_blocks(c: _BlockCosts) -> bytes:
     """Write one row's blocks :func:`_block_costs` sized, each at its width."""
     bw = c.widths
+    exc_counts = c.exc_counts
     size = int(c.sizes.sum())
     buf = np.zeros(size + _ROW_PAD, dtype=np.uint8)  # room for a full last row
-    # the offsets longer than the width: 128 less the rest, padding included
-    exc_counts = BLOCK_SIZE - c.hist.cumsum(axis=1)[np.arange(bw.size), bw]
 
     pos = write_uvarints(buf, np.cumsum(c.sizes) - c.sizes, c.refs, c.ref_vlen)
     buf[pos] = bw
     buf[pos + 1] = exc_counts
     pos += 2
 
-    for width in np.trim_zeros(np.unique(bw), "f"):   # 0 packs nothing
-        sel = np.nonzero(bw == width)[0]
-        packed = _pack_bits(c.off[sel], int(width))
+    # width 0 packs nothing
+    for width in np.flatnonzero(np.bincount(bw, minlength=33)[1:]) + 1:
+        sel = np.flatnonzero(bw == width)
+        # the uint32 gather is freed as soon as it is widened
+        packed = _pack_bits(c.off[sel].astype(np.uint64), int(width))
         # rows_at[p] is the row of bytes at p: one contiguous copy per block.
         # The packed areas are disjoint, so no byte is written twice.
         nb = packed.shape[1]
@@ -493,20 +517,23 @@ def _write_blocks(c: _BlockCosts) -> bytes:
     total_exc = int(exc_counts.sum())
     if total_exc:
         # flat indices run block-major: each block's exceptions are one run
-        flat = np.flatnonzero(c.bitlen > bw.astype(np.int32)[:, None])
-        eblk, epos = np.divmod(flat, BLOCK_SIZE)
-        ewidth = bw[eblk]
-        evals = c.off.ravel()[flat] >> ewidth.astype(np.uint32)
+        w8 = bw.astype(np.uint8)
+        flat = np.flatnonzero(c.bitlen > w8[:, None])
+        ewidth = np.repeat(w8, exc_counts)
+        evals = c.off.reshape(-1)[flat] >> ewidth
         # a remainder has the offset's bit length less the width
-        evlen = (c.bitlen.ravel()[flat] - ewidth + 6) // 7
+        evlen = (c.bitlen.reshape(-1)[flat] - ewidth + 6) // 7
         first = np.cumsum(exc_counts) - exc_counts
+        # exception k of block b has rank k - first[b] among its positions
+        at = np.repeat(exc_start - first, exc_counts)
+        at += np.arange(total_exc)
+        buf[at] = flat & 127
         g = np.zeros(total_exc + 1, dtype=np.int64)
-        np.cumsum(evlen, out=g[1:])
-        # exception k of block b has rank k - first[b] among its positions,
+        np.cumsum(evlen, out=g[1:], dtype=np.int64)
         # and its remainder starts g[k] - g[first[b]] bytes past them
-        buf[(exc_start - first)[eblk] + np.arange(total_exc)] = epos
-        rem_base = exc_start + exc_counts - g[first]
-        write_uvarints(buf, rem_base[eblk] + g[:-1], evals, evlen)
+        at = np.repeat(exc_start + exc_counts - g[first], exc_counts)
+        at += g[:-1]
+        write_uvarints(buf, at, evals, evlen)
     return buf[:size].tobytes()
 
 

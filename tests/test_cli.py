@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from jiffy import bench
 from jiffy.cli import main
 from jiffy.codec import EncodedScan, encode
 from jiffy.container import HEADER_SIZE, StreamReader, StreamWriter
 from jiffy.rawio import RawSequenceSpec, read_all
+from jiffy.scan import Scan
 from jiffy.synthetic import generate
 
 from .refimpl import ref_dequantize, ref_quantize
@@ -401,6 +403,28 @@ def test_sweep_and_ablate_and_heuristic(tmp_path, capsys):
     assert run("heuristic-eval", "--input", raw, "--shape", "32x256") == 0
     out = capsys.readouterr().out
     assert "accuracy" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--reps", 1], ["sweep", "--precisions", 1000], ["ablate"],
+    ["heuristic-eval"]], ids=["bench", "sweep", "ablate", "heuristic-eval"])
+def test_harness_decode_mismatch_exits_2(tmp_path, corpus, capsys,
+                                         monkeypatch, argv):
+    real_decode, calls = bench.decode, []
+
+    def flipping_decode(*args):
+        scan = real_decode(*args)
+        calls.append(1)
+        if len(calls) != 2:             # only frame 1 of the first pass
+            return scan
+        samples = scan.samples.copy()
+        samples[0, 0] ^= 1
+        return Scan(scan.scan_type, scan.sample_width, samples)
+
+    monkeypatch.setattr(bench, "decode", flipping_decode)
+    assert run(argv[0], "--input", corpus, "--shape", "16x64",
+               *argv[1:]) == 2
+    assert capsys.readouterr().err == "error: decode mismatch at frame 1\n"
 
 
 def test_compress_forced_modes_roundtrip(tmp_path, corpus):

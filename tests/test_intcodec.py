@@ -5,7 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from jiffy import intcodec
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
-from jiffy.intcodec import (BLOCK_SIZE, _pack_bits, delta_unwrap, delta_wrap,
+from jiffy.intcodec import (BLOCK_SIZE, _bit_lengths, _pack_bits, delta_unwrap,
+                            delta_wrap,
                             iter_blocks, pfor_decode, pfor_encode, pfor_size,
                             zigzag_unwrap, zigzag_wrap)
 from jiffy.varint import encode_uvarint
@@ -342,6 +343,37 @@ def test_pfor_rejects_wrong_dtype():
 def test_pfor_accepts_other_int_dtypes():
     v = np.array([1, 2, 3], dtype=np.int16)
     assert pfor_decode(pfor_encode(v)).tolist() == [1, 2, 3]
+
+
+# 2^k - 1, 2^k and 2^k + 1 for every k up to 32 that fit in uint32: float32
+# rounds 2^k - 1 up to 2^k from k = 25 on
+POWER_EDGES = sorted({v for k in range(33) for v in (2**k - 1, 2**k, 2**k + 1)
+                      if v <= 0xFFFFFFFF})
+
+
+def _check_bit_lengths(v):
+    got = _bit_lengths(v)
+    assert got.dtype == np.uint8 and got.shape == v.shape
+    assert got.ravel().tolist() == [x.bit_length() for x in v.ravel().tolist()]
+
+
+@pytest.mark.parametrize("shape", [(-1,), (1, -1), (-1, 1)])
+def test_bit_lengths_at_powers_of_two(shape):
+    _check_bit_lengths(np.array(POWER_EDGES, dtype=np.uint32).reshape(shape))
+
+
+@pytest.mark.parametrize("shape", [(4096,), (32, 128)])
+@pytest.mark.parametrize("top", [1 << 24, 1 << 32])
+def test_bit_lengths_of_random_values(shape, top):
+    # below 2^24 only the float32 read runs; up to 2^32 the float64 one too
+    rng = np.random.default_rng(top.bit_length() + len(shape))
+    v = rng.integers(0, top, size=shape, dtype=np.uint64).astype(np.uint32)
+    v.flat[:3] = [0, 1, top - 1]
+    _check_bit_lengths(v)
+
+
+def test_bit_lengths_of_empty_array():
+    assert _bit_lengths(np.empty((0, 128), dtype=np.uint32)).shape == (0, 128)
 
 
 def _scalar_pack(row, width):
