@@ -52,8 +52,8 @@ def compact(samples: np.ndarray, mask: np.ndarray, *,
             index: np.ndarray | None = None) -> np.ndarray:
     """Row-major samples at mask-False positions, as a 1D uint32 vector.
 
-    ``index``, when given, is the mask's clear-sample index from an earlier
-    call, so a caller moving samples both ways selects them once.
+    ``index``, when given, is ``_clear_index(mask)``, so a caller moving
+    samples both ways selects them once.
     """
     samples = np.asarray(samples)
     if samples.shape != mask.shape:
@@ -74,8 +74,10 @@ def expand(values: np.ndarray, mask: np.ndarray, dtype, *,
     if values.size != n:
         raise CorruptStreamError(
             f"value count {values.size} does not match mask ({n} clear bits)")
+    if index is None:
+        index = _clear_index(mask)
     out = np.zeros(mask.shape, dtype=dtype)
-    out.reshape(-1)[_clear_index(mask) if index is None else index] = values
+    out.reshape(-1)[index] = values
     return out
 
 

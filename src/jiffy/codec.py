@@ -203,9 +203,11 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     values = zigzag_unwrap(pfor_decode(enc.value_block, clear))
     if not (is_p and enc.residual_plain):   # mode bit1 counts on P-scans only
         values = delta_unwrap(values)
-    # one selection of the clear samples serves compact and expand
-    index = _clear_index(cur_mask)
-    if is_p:    # uint32, wraps back
+    index = None
+    if is_p:
+        # one selection of the clear samples serves compact and expand;
+        # the uint32 sum wraps back to the samples
+        index = _clear_index(cur_mask)
         values = compact(state.samples, cur_mask, index=index) + values
 
     if values.size and int(values.max()) > int(np.iinfo(dtype).max):
@@ -213,7 +215,7 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
     samples = expand(values, cur_mask, dtype, index=index)
-    del values, index       # before the copy below
+    del values, index       # freed before the reference copy below
     # a copy: the caller may edit the samples it gets back
     state.samples, state.mask = samples.copy(), cur_mask
     return Scan(scan_type, sample_width, samples)
