@@ -16,7 +16,8 @@ masks the two cost the same between 0.04 and 0.07 transitions per sample;
 scattered 30%-zero masks (0.42 transitions per sample) compact in about
 0.23 against 0.86 ms with flat indices, while clustered ones (0.04 and
 below) compact in 0.09-0.16 against 0.16-0.22 ms with boolean indexing.
-Both ways give identical arrays.
+Both ways give identical arrays. Each call chooses its own indices from the
+mask it is given.
 """
 
 import numpy as np
@@ -48,34 +49,25 @@ def _clear_index(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(clear) if _fragmented(mask) else clear
 
 
-def compact(samples: np.ndarray, mask: np.ndarray, *,
-            index: np.ndarray | None = None) -> np.ndarray:
-    """Row-major samples at mask-False positions, as a 1D uint32 vector.
-
-    ``index``, when given, is ``_clear_index(mask)``, so a caller moving
-    samples both ways selects them once.
-    """
+def compact(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-major samples at mask-False positions, as a 1D uint32 vector."""
     samples = np.asarray(samples)
     if samples.shape != mask.shape:
         raise ValueError("mask shape does not match samples")
-    if index is None:
-        index = _clear_index(mask)
+    index = _clear_index(mask)
     flat = samples.reshape(-1)
     values = flat[index] if index.dtype == bool else flat.take(index)
     return values.astype(np.uint32, copy=False)
 
 
-def expand(values: np.ndarray, mask: np.ndarray, dtype, *,
-           index: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`compact`: zeros where masked, values elsewhere;
-    ``index`` as there."""
+def expand(values: np.ndarray, mask: np.ndarray, dtype) -> np.ndarray:
+    """Inverse of :func:`compact`: zeros where masked, values elsewhere."""
     values = np.asarray(values)
     n = int(mask.size - np.count_nonzero(mask))
     if values.size != n:
         raise CorruptStreamError(
             f"value count {values.size} does not match mask ({n} clear bits)")
-    if index is None:
-        index = _clear_index(mask)
+    index = _clear_index(mask)      # ``~mask`` is freed before ``out`` exists
     out = np.zeros(mask.shape, dtype=dtype)
     out.reshape(-1)[index] = values
     return out

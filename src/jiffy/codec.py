@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import bytecomp
-from .bitmask import (_clear_index, compact, expand, extract_mask, pack_mask,
-                      unpack_mask, xor_mask)
+from .bitmask import (compact, expand, extract_mask, pack_mask, unpack_mask,
+                      xor_mask)
 from .errors import CorruptStreamError
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        pfor_size, zigzag_unwrap, zigzag_wrap)
@@ -203,19 +203,15 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     values = zigzag_unwrap(pfor_decode(enc.value_block, clear))
     if not (is_p and enc.residual_plain):   # mode bit1 counts on P-scans only
         values = delta_unwrap(values)
-    index = None
-    if is_p:
-        # one selection of the clear samples serves compact and expand;
-        # the uint32 sum wraps back to the samples
-        index = _clear_index(cur_mask)
-        values = compact(state.samples, cur_mask, index=index) + values
+    if is_p:    # uint32, wraps back to the samples
+        values += compact(state.samples, cur_mask)
 
     if values.size and int(values.max()) > int(np.iinfo(dtype).max):
         raise CorruptStreamError("decoded sample exceeds sample width")
     if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
-    samples = expand(values, cur_mask, dtype, index=index)
-    del values, index       # freed before the reference copy below
+    samples = expand(values, cur_mask, dtype)
+    del values              # freed before the reference copy below
     # a copy: the caller may edit the samples it gets back
     state.samples, state.mask = samples.copy(), cur_mask
     return Scan(scan_type, sample_width, samples)

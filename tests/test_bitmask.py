@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from jiffy import bitmask
 from jiffy.bitmask import (compact, expand, extract_mask, pack_mask,
                            unpack_mask, xor_mask)
+from jiffy.codec import CodecState, Mode, encode
 from jiffy.errors import CorruptStreamError
 from jiffy.scan import QuantizationSpec, quantize
 from jiffy.synthetic import KINDS, generate
@@ -117,15 +118,25 @@ def test_fragmented_splits_at_one_transition_per_16_samples(mean_run,
 @pytest.mark.parametrize("seed", [1, 7])
 def test_synthetic_kinds_fall_on_both_sides_of_the_choice(seed):
     # the benchmark's random masks take flat indices, the clustered kinds
-    # keep boolean indexing, so each side has a workload that shows it
+    # keep boolean indexing, so each side has a workload that shows it.
+    # No P-scan the mode trial picks lands on a fragmented mask, so a
+    # P-scan decode gains nothing from selecting its clear samples once
+    # for both compact and expand; a kind that breaks this reopens that.
     spec = QuantizationSpec(1000, 2)
     sides = {kind: set() for kind in KINDS}
+    p_sides = {kind: [] for kind in KINDS}
     for kind in KINDS:
+        state = CodecState()
         for f in generate(kind, 16, 128, 1024, seed=seed):
-            mask = extract_mask(quantize(f, spec).samples)
-            sides[kind].add(bitmask._fragmented(mask))
+            scan = quantize(f, spec)
+            fragmented = bitmask._fragmented(extract_mask(scan.samples))
+            sides[kind].add(fragmented)
+            if encode(scan, state).mode == Mode.P:
+                p_sides[kind].append(fragmented)
     assert sides == {"random": {True}, "static_scene": {False},
                      "driving_like": {False}, "sparse_vertical": {False}}
+    assert not any(any(p) for p in p_sides.values())
+    assert all(p_sides[kind] for kind in KINDS if kind != "random")
 
 
 def test_expand_length_mismatch():

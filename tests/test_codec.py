@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jiffy import bytecomp, codec
+from jiffy import bitmask, bytecomp, codec
 from jiffy.bitmask import (compact, extract_mask, pack_mask, unpack_mask,
                            xor_mask)
 from jiffy.codec import (CodecState, EncodedScan, Mode, decode, encode,
                          select_mode)
-from jiffy.errors import CorruptStreamError
+from jiffy.errors import CorruptStreamError, JiffyError
 from jiffy.intcodec import delta_wrap, pfor_decode, pfor_encode, zigzag_wrap
 from jiffy.scan import QuantizationSpec, Scan, ScanType, quantize
 from jiffy.synthetic import generate
@@ -19,6 +19,7 @@ from jiffy.varint import encode_uvarint
 
 from .refimpl import (U32, ref_pfor_encode, ref_select_mode,
                       ref_wrapped_pipeline_encode)
+from .test_intcodec import _mutate
 
 
 def mkscan(samples, width=2, stype=ScanType.RANGE):
@@ -563,3 +564,46 @@ def test_forged_value_count_rejected_before_the_walk():
         tracemalloc.stop()
     # before the count check: about 900 KB, spent walking and unpacking
     assert peak < 64 * rows * cols * width
+
+
+# ---------------------------------------------------------------------------
+# record-level mutation of P-scans
+
+
+@pytest.mark.parametrize("kind, mode", [("random", Mode.P),
+                                        ("driving_like", None)])
+def test_mutated_p_record_raises_or_decodes_to_geometry(kind, mode):
+    # forced-P random frames carry fragmented masks, auto driving_like ones
+    # clustered masks (at 1024 columns; at 256 driving_like mostly codes I
+    # on fragmented masks). Each mutation of frame 1's record is decoded
+    # against a copy of the state frame 0 left, with no container CRC to
+    # stop it before the record parse and the P-scan decode.
+    rows, cols, spec = 16, 1024, QuantizationSpec(1000, 2)
+    scans = [quantize(f, spec) for f in generate(kind, 2, rows, cols, seed=5)]
+    est, dst = CodecState(), CodecState()
+    roundtrip(encode(scans[0], est, mode), dst, scans[0])
+    record = encode(scans[1], est, mode).to_bytes()
+    assert EncodedScan.from_bytes(record).mode == Mode.P
+    assert bitmask._fragmented(extract_mask(scans[1].samples)) == (
+        kind == "random")
+    mask_len = (rows * cols + 7) // 8
+    rng = np.random.default_rng(2501)
+    rejected = 0
+    for i in range(1000):
+        if i % 2:       # mode, value count and the mask block's start
+            bad = _mutate(record[:64], rng) + record[64:]
+        else:
+            bad = _mutate(record, rng)
+        state = CodecState(dst.samples.copy(), dst.mask.copy())
+        try:
+            out = roundtrip(EncodedScan.from_bytes(bad, mask_len=mask_len),
+                            state, scans[1])
+        except JiffyError:
+            rejected += 1
+            assert np.array_equal(state.samples, dst.samples)
+            assert np.array_equal(state.mask, dst.mask)
+            continue
+        assert out.samples.shape == (rows, cols)
+        assert out.samples.dtype == np.uint16
+        assert np.array_equal(state.samples, out.samples)
+    assert 0 < rejected < 1000
