@@ -69,9 +69,10 @@ block and keeps only each block's start offset. The header fields are
 range-checked as they are read, in stream order, so each malformed input
 meets the same check first; a full block advances by ``16*w`` packed bytes,
 and its one-byte exception count needs no range check (127 < 128). Each
-exception area is skipped, not decoded, by counting varint terminator bytes
-with ``bytes.count`` (a few C-level counts per block, whatever the number
-of exceptions). Everything else is whole-array numpy work over the stream:
+exception area is skipped, not decoded: one numpy ``>= 0x80`` comparison
+flags the stream's varint continuation bytes, and ``bytes.count`` counts
+those flags (a few C-level counts per block, whatever the number of
+exceptions). Everything else is whole-array numpy work over the stream:
 
 * the references, widths, exception counts and packed-area offsets are read
   again from the start offsets with a few vector ops over the blocks (one
@@ -102,7 +103,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import CorruptStreamError, TruncatedStreamError
 from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
@@ -115,9 +115,6 @@ _U32_MAX = 0xFFFFFFFF
 # Zero bytes after the stream: a full row of 128 offsets at width 32 from
 # the last packed area, and one 8-byte word past it.
 _ROW_PAD = BLOCK_SIZE * 32 // 8 + 8
-
-# bytes.translate table: 1 for varint continuation bytes (>= 0x80), else 0
-_CONTINUATION = bytes(b >> 7 for b in range(256))
 
 # Exception bytes by (offset bit length l, candidate width w): a position
 # byte and ceil((l - w)/7) remainder bytes where l > w, else none.
@@ -262,7 +259,7 @@ def _pfor_parse(data, count=None):
     # are only located here; their contents are checked and applied in bulk.
     starts = []
     add_start = starts.append
-    count_cont = None       # continuation-byte counter, built on first use
+    count_cont = None       # counts continuation flags; built on first use
     nfull, tail = divmod(n, BLOCK_SIZE)
     for blen, nblocks in ((BLOCK_SIZE, nfull), (tail, tail > 0)):
         # bytes from the width byte to the end of the packed area, by width;
@@ -313,10 +310,11 @@ def _pfor_parse(data, count=None):
                 if stop > total:
                     raise TruncatedStreamError("truncated exception area")
                 if count_cont is None:
-                    count_cont = buf.translate(_CONTINUATION).count
+                    count_cont = (np.frombuffer(buf, np.uint8)
+                                  >= 0x80).tobytes().count
                 need = count_cont(1, pos, stop)
                 pos = stop
-    del count_cont                  # frees the translated copy of the stream
+    del count_cont                  # frees the flag copy of the stream
     if pos != total:
         raise CorruptStreamError("trailing bytes after final block")
     if n == 0:
@@ -510,7 +508,7 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         # rows_at[p] is the row of bytes at p: one contiguous copy per block.
         # The packed areas are disjoint, so no byte is written twice.
         nb = packed.shape[1]
-        rows_at = as_strided(buf, (buf.size - nb + 1, nb), (1, 1))
+        rows_at = np.ndarray((buf.size - nb + 1, nb), np.uint8, buf, 0, (1, 1))
         rows_at[pos[sel]] = packed
     exc_start = pos + (c.blens * bw + 7) // 8
 

@@ -64,10 +64,9 @@ def read_frames(spec: RawSequenceSpec):
 
 def read_all(spec: RawSequenceSpec) -> np.ndarray:
     """Whole file as a (frames, rows, cols) array."""
-    frames = list(read_frames(spec))
-    if not frames:
-        return np.empty((0, spec.rows, spec.cols), dtype=spec.dtype)
-    return np.stack(frames)
+    n = spec.count_frames()
+    return np.fromfile(spec.path, dtype=spec.dtype).reshape(
+        n, spec.rows, spec.cols)
 
 
 def write_frames(path: str, frames, element_type: str):

@@ -141,6 +141,28 @@ def test_failed_compress_keeps_existing_output(tmp_path, corpus, capsys,
     assert "disk gone" in capsys.readouterr().err
 
 
+def test_output_file_modes(tmp_path, corpus, capsys):
+    """A new output gets the mode a plain open() gives under the umask; an
+    output written over keeps its own mode."""
+    jfy, back = tmp_path / "seq.jfy", tmp_path / "back.f32"
+    compress = ("compress", "--input", corpus, "--shape", "16x64",
+                "--output", jfy)
+    decompress = ("decompress", "--input", jfy, "--output", back)
+    old_umask = os.umask(0o022)
+    try:
+        assert run(*compress) == 0
+        assert run(*decompress) == 0
+        assert jfy.stat().st_mode & 0o777 == 0o644
+        assert back.stat().st_mode & 0o777 == 0o644
+        for path, argv in ((jfy, compress), (back, decompress)):
+            path.chmod(0o600)
+            assert run(*argv) == 0
+            assert path.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
+
+
 def test_verify_detects_mismatched_input(tmp_path, corpus, capsys):
     jfy = tmp_path / "seq.jfy"
     run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
