@@ -110,6 +110,11 @@ from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
 
 BLOCK_SIZE = 128
 
+# Blocks per slice of the large scratch arrays: the encoder's histogram
+# index and packing words, and ZigZag decoding's odd word, are built one
+# slice at a time, so they stay this size however large the frame.
+_SLICE = 256
+
 _U32_MAX = 0xFFFFFFFF
 
 # Zero bytes after the stream: a full row of 128 offsets at width 32 from
@@ -167,13 +172,22 @@ def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
 
 def zigzag_unwrap(codes: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_wrap`: an even code c is ``c >> 1``, an odd
-    one ``~((c - 2) >> 1)``, so code 1 wraps onto 0x80000000 (-2^31)."""
+    one ``~((c - 2) >> 1)``, so code 1 wraps onto 0x80000000 (-2^31).
+
+    Works one slice of values at a time, so beside the codes and the output
+    only one slice's odd word is held.
+    """
     c = _as_u32(codes)
-    odd = c & 1
-    out = c - odd
-    out -= odd                                   # c - 2 on odd codes
-    out >>= 1
-    out ^= np.negative(odd, out=odd)             # ~ on odd codes
+    out = np.empty_like(c)
+    flat_c, flat_out = c.reshape(-1), out.reshape(-1)
+    step = _SLICE * BLOCK_SIZE
+    for s in range(0, c.size, step):
+        part, o = flat_c[s:s + step], flat_out[s:s + step]
+        odd = part & 1
+        np.subtract(part, odd, out=o)
+        o -= odd                                 # c - 2 on odd codes
+        o >>= 1
+        o ^= np.negative(odd, out=odd)           # ~ on odd codes
     return out
 
 
@@ -470,10 +484,16 @@ def _block_costs(v: np.ndarray) -> _BlockCosts:
     off -= refs[:, None]
     blens = np.tile(np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.arange(nb)), m)
     bitlen = _bit_lengths(off)
-    # Per-block histogram over offset bit lengths, 33 bins.
-    idx = np.add(bitlen, np.arange(0, nblk * 33, 33)[:, None], dtype=np.int64)
-    hist = np.bincount(idx.reshape(-1), minlength=nblk * 33).reshape(nblk, 33)
-    del idx
+    # Per-block histogram over offset bit lengths, 33 bins, from an int64
+    # bin index built one slice of blocks at a time.
+    hist = np.empty((nblk, 33), dtype=np.int64)
+    base = np.arange(0, min(nblk, _SLICE) * 33, 33)[:, None]
+    for s in range(0, nblk, _SLICE):
+        part = bitlen[s:s + _SLICE]
+        k = part.shape[0]
+        idx = np.add(part, base[:k], dtype=np.int64).reshape(-1)
+        hist[s:s + k] = np.bincount(idx, minlength=k * 33).reshape(k, 33)
+        del idx
     # exception and packed-area bytes at each width; exact in float64
     cost = hist @ _EXC_BYTES
     cost += _PACKED_BYTES.take(blens, axis=0)
@@ -503,13 +523,15 @@ def _write_blocks(c: _BlockCosts) -> bytes:
     # width 0 packs nothing
     for width in np.flatnonzero(np.bincount(bw, minlength=33)[1:]) + 1:
         sel = np.flatnonzero(bw == width)
-        # the uint32 gather is freed as soon as it is widened
-        packed = _pack_bits(c.off[sel].astype(np.uint64), int(width))
         # rows_at[p] is the row of bytes at p: one contiguous copy per block.
         # The packed areas are disjoint, so no byte is written twice.
-        nb = packed.shape[1]
+        nb = 16 * int(width)
         rows_at = np.ndarray((buf.size - nb + 1, nb), np.uint8, buf, 0, (1, 1))
-        rows_at[pos[sel]] = packed
+        for s in range(0, sel.size, _SLICE):
+            part = sel[s:s + _SLICE]
+            # the uint32 gather is freed as soon as it is widened
+            rows_at[pos[part]] = _pack_bits(c.off[part].astype(np.uint64),
+                                            int(width))
     exc_start = pos + (c.blens * bw + 7) // 8
 
     total_exc = int(exc_counts.sum())
@@ -520,12 +542,18 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         ewidth = np.repeat(w8, exc_counts)
         evals = c.off.reshape(-1)[flat] >> ewidth
         # a remainder has the offset's bit length less the width
-        evlen = (c.bitlen.reshape(-1)[flat] - ewidth + 6) // 7
+        evlen = c.bitlen.reshape(-1)[flat]
+        evlen -= ewidth
+        del ewidth
+        evlen += 6
+        evlen //= 7
         first = np.cumsum(exc_counts) - exc_counts
         # exception k of block b has rank k - first[b] among its positions
         at = np.repeat(exc_start - first, exc_counts)
         at += np.arange(total_exc)
-        buf[at] = flat & 127
+        flat &= 127
+        buf[at] = flat
+        del flat, at
         g = np.zeros(total_exc + 1, dtype=np.int64)
         np.cumsum(evlen, out=g[1:], dtype=np.int64)
         # and its remainder starts g[k] - g[first[b]] bytes past them
@@ -599,7 +627,10 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,
     starts = offs + (blens * widths + 7) // 8       # position bytes
     nexc = int(counts.sum())
     first = np.cumsum(counts) - counts              # block's first exception
-    positions = arr[np.arange(nexc) + np.repeat(starts - first, counts)]
+    at = np.repeat(starts - first, counts)
+    at += np.arange(nexc)
+    positions = arr[at]
+    del at
     # Each position must exceed its predecessor, but a block's first may
     # restart; a rising block is in range when its last position is.
     rising = positions[1:] > positions[:-1]
@@ -611,19 +642,27 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,
     rem_starts = starts + counts
     rem_lens = ends - rem_starts
     rem_first = np.cumsum(rem_lens) - rem_lens
-    rem_bytes = arr[np.arange(int(rem_lens.sum()))
-                    + np.repeat(rem_starts - rem_first, rem_lens)]
+    at = np.repeat(rem_starts - rem_first, rem_lens)
+    at += np.arange(at.size)
+    rem_bytes = arr[at]
+    del at
     # Each run holds exactly its block's count of varints (the header walk
     # counted them), so remainders line up with positions.
     rems = decode_uvarints(rem_bytes, 5)
+    del rem_bytes
     if not rems.all():
         raise CorruptStreamError("zero exception remainder")
-    shift = np.repeat(widths.astype(np.uint64), counts)
-    if np.any(rems > np.uint64(_U32_MAX) >> shift):
+    shift = np.repeat(widths.astype(np.uint8), counts)
+    # a remainder must fit in the 32 - width bits above the width
+    if np.any(rems >> (32 - shift)):
         raise CorruptStreamError("exception remainder overflows uint32")
 
-    idx = np.repeat(blocks * BLOCK_SIZE, counts) + positions
-    patched = out[idx] + (rems << shift)            # uint64: no wrap
+    idx = np.repeat(blocks * BLOCK_SIZE, counts)
+    idx += positions
+    del positions
+    patched = rems << shift                         # uint64: no wrap
+    del shift
+    patched += out[idx]
     if patched.max() > _U32_MAX:
         raise CorruptStreamError("patched value overflows uint32")
     out[idx] = patched

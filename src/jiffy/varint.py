@@ -72,11 +72,13 @@ def decode_uvarints(data: np.ndarray, max_len: int) -> np.ndarray:
         raise CorruptStreamError(f"varint exceeds {max_len} bytes")
     if np.any((data[ends] == 0) & (lens > 1)):
         raise CorruptStreamError("overlong varint")
-    groups = (data & 0x7F).astype(np.uint64)
-    values = groups[starts]
+    del ends
+    # byte k of each varint still open is read straight from ``data``
+    values = (data[starts] & 0x7F).astype(np.uint64)
     for k in range(1, longest):
         more = np.flatnonzero(lens > k)
-        values[more] |= groups[starts[more] + k] << np.uint64(7 * k)
+        values[more] |= ((data[starts[more] + k] & 0x7F).astype(np.uint64)
+                         << np.uint64(7 * k))
     return values
 
 
@@ -94,17 +96,26 @@ def write_uvarints(out: np.ndarray, positions: np.ndarray, values: np.ndarray,
     varints that have bytes left, their values shifted down by 7, and the
     next byte of each is written the same way; after the first byte no
     pass touches a varint that is already complete.
+
+    uint32 ``values`` are worked on as uint32, 4 bytes each; any other
+    integers are read as uint64.
     """
-    v = np.asarray(values, dtype=np.uint64)
+    v = np.asarray(values)
+    if v.dtype != np.uint32:
+        v = v.astype(np.uint64, copy=False)
+    low7, seven = v.dtype.type(0x7F), v.dtype.type(7)
     pos = np.asarray(positions)
     left = np.asarray(lengths)
     ends = pos + left
     while v.size:
         more = left > 1
-        out[pos] = (v & np.uint64(0x7F)).astype(np.uint8) | (
+        out[pos] = (v & low7).astype(np.uint8) | (
             more.view(np.uint8) << np.uint8(7))
         keep = np.flatnonzero(more)
-        v = v[keep] >> np.uint64(7)
-        pos = pos[keep] + 1
-        left = left[keep] - 1
+        v = v[keep]
+        v >>= seven
+        pos = pos[keep]
+        pos += 1
+        left = left[keep]
+        left -= 1
     return ends

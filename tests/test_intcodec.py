@@ -5,8 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from jiffy import intcodec
 from jiffy.errors import CorruptStreamError, JiffyError, TruncatedStreamError
-from jiffy.intcodec import (BLOCK_SIZE, _bit_lengths, _pack_bits, delta_unwrap,
-                            delta_wrap,
+from jiffy.intcodec import (_SLICE, BLOCK_SIZE, _bit_lengths, _pack_bits,
+                            delta_unwrap, delta_wrap,
                             iter_blocks, pfor_decode, pfor_encode, pfor_size,
                             zigzag_unwrap, zigzag_wrap)
 from jiffy.varint import encode_uvarint
@@ -118,6 +118,21 @@ def test_zigzag_wrap_min_int_lands_on_code_one():
     assert back.tolist() == [ref_wrapped_pipeline_decode([e])[0]
                              for e in edges]
     assert zigzag_wrap(back).tolist() == edges
+
+
+@pytest.mark.parametrize("shape", [
+    (_SLICE * BLOCK_SIZE - 1,), (_SLICE * BLOCK_SIZE,),
+    (_SLICE * BLOCK_SIZE + 1,), (2 * _SLICE * BLOCK_SIZE + 1,),
+    (3, _SLICE * BLOCK_SIZE // 2 + 1)])
+def test_zigzag_unwrap_across_slices(shape):
+    # decoding works one slice of _SLICE blocks' values at a time
+    codes = np.random.default_rng(sum(shape)).integers(
+        0, 1 << 32, size=shape, dtype=np.uint64).astype(np.uint32)
+    codes[codes == 1] = 3           # the scalar inverse maps code 1 to 0
+    back = zigzag_unwrap(codes)
+    assert back.shape == codes.shape
+    assert back.view(np.int32).reshape(-1).tolist() == [
+        ref_unzigzag(c) for c in codes.reshape(-1).tolist()]
 
 
 @given(st.lists(st.integers(min_value=-(1 << 30), max_value=(1 << 30)),
@@ -423,6 +438,34 @@ def test_pfor_short_last_block_at_every_width(blen, width):
     blocks = list(iter_blocks(enc))
     assert [b.length for b in blocks] == [BLOCK_SIZE, blen]
     assert blocks[-1].bit_width == width and not blocks[-1].exceptions
+
+
+@pytest.mark.parametrize("nblocks", [_SLICE - 1, _SLICE, _SLICE + 1,
+                                     2 * _SLICE + 1])
+def test_pfor_one_width_group_across_slices(nblocks):
+    # The cost step's histogram and the write step's packing work in slices
+    # of _SLICE blocks. A constant block (width 0) leads, then nblocks blocks
+    # of 9-bit offsets with one 10-20 bit spike each (width 9, one
+    # exception), then a short tail.
+    rng = np.random.default_rng(nblocks)
+    body = rng.integers(0, 1 << 9, size=(nblocks, BLOCK_SIZE), dtype=np.uint64)
+    body[:, 0] = 0
+    spike = rng.integers(1, BLOCK_SIZE, size=nblocks)
+    body[np.arange(nblocks), spike] = rng.integers(1 << 9, 1 << 20,
+                                                   size=nblocks) << 9
+    body += rng.integers(0, 1 << 11, size=(nblocks, 1), dtype=np.uint64)
+    v = np.concatenate([np.full(BLOCK_SIZE, 7, dtype=np.uint64),
+                        body.reshape(-1), [5, 1, 9]]).astype(np.uint32)
+    enc = pfor_encode(v)
+    assert enc == ref_pfor_encode(v.tolist())
+    assert pfor_size(v) == len(enc)
+    assert pfor_size(np.stack([v, v[::-1]])).tolist() == [
+        len(enc), len(pfor_encode(v[::-1]))]
+    assert np.array_equal(pfor_decode(enc), v)
+    blocks = list(iter_blocks(enc))[1:-1]
+    assert len(blocks) == nblocks
+    assert {b.bit_width for b in blocks} == {9}
+    assert [len(b.exceptions) for b in blocks] == [1] * nblocks
 
 
 def test_each_pfor_call_costs_its_blocks_once(monkeypatch):

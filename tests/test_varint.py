@@ -93,6 +93,25 @@ def test_write_uvarints_matches_scalar(values):
     assert ends.tolist() == (starts + lens).tolist()
 
 
+def test_write_uvarints_keeps_uint32_values():
+    # uint32 values are written without a uint64 copy; the largest takes
+    # five bytes
+    values = np.array([0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, 0x0FFFFFFF,
+                       0x10000000, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF],
+                      dtype=np.uint32)
+    lens = np.array([len(encode_uvarint(int(v))) for v in values],
+                    dtype=np.uint8)
+    starts = np.zeros(values.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    buf = np.zeros(int(lens.sum()), dtype=np.uint8)
+    before = values.copy()
+    ends = write_uvarints(buf, starts, values, lens)
+    assert buf.tobytes() == b"".join(encode_uvarint(int(v)) for v in values)
+    assert ends.tolist() == (starts + lens).tolist()
+    assert lens.max() == 5
+    assert np.array_equal(values, before)
+
+
 def test_write_uvarints_empty():
     buf = np.full(4, 0xAB, dtype=np.uint8)
     empty = np.empty(0, dtype=np.int64)
