@@ -41,10 +41,13 @@ anything; the I/P mode trial sizes its two test streams, two rows of one
 array, with it.
 
 Beside the caller's values, the encoder's frame-sized arrays are the uint32
-offsets and their uint8 bit lengths, plus one temporary at a time: the
-float32 copy for the bit lengths, the int64 histogram index, then each
-width's offsets widened to uint64 for packing (their uint32 gather is freed
-before packing starts).
+offsets and their uint8 bit lengths, and for a while the float32 copy the
+bit lengths are read from. Its larger scratch arrays are built one slice of
+``_SLICE`` (256) blocks at a time, so they stay that size however large the
+frame: the int64 histogram index, and each width's offsets widened to
+uint64 for packing (a slice's uint32 gather is freed before it is packed).
+The exception write holds a few arrays per exception, frees each once it
+is read, and keeps the remainders uint32.
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -441,7 +444,8 @@ def _pack_bits(offsets: np.ndarray, width: int) -> np.ndarray:
     words (see the module docstring).
 
     offsets: (m, 128) uint32, or uint64, which is packed in place and
-    overwritten -> (m, 16*width) uint8.
+    overwritten -> (m, 16*width) uint8. The write step passes at most
+    ``_SLICE`` blocks, widened to uint64, so the words stay slice-sized.
     """
     shift, first, cross, spill_shift, spill_word = _pack_layout(width)
     v = offsets.astype(np.uint64, copy=False)

@@ -2,8 +2,10 @@
 
 Datasets arrive as flat files of back-to-back frames (float32 meters or
 already-quantized unsigned integers). A RawSequenceSpec pins down the
-geometry; reading streams one frame at a time so sequence length never
-matters for memory.
+geometry. :func:`read_frames` streams one frame at a time, so its memory
+does not grow with the sequence length. :func:`read_all` is the one
+whole-file reader: it holds every frame at once, so its memory does
+(``jiffy sweep`` reads through it).
 """
 
 import os
@@ -63,7 +65,7 @@ def read_frames(spec: RawSequenceSpec):
 
 
 def read_all(spec: RawSequenceSpec) -> np.ndarray:
-    """Whole file as a (frames, rows, cols) array."""
+    """Whole file as a (frames, rows, cols) array, held in memory at once."""
     n = spec.count_frames()
     return np.fromfile(spec.path, dtype=spec.dtype).reshape(
         n, spec.rows, spec.cols)

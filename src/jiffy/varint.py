@@ -103,17 +103,16 @@ def write_uvarints(out: np.ndarray, positions: np.ndarray, values: np.ndarray,
     v = np.asarray(values)
     if v.dtype != np.uint32:
         v = v.astype(np.uint64, copy=False)
-    low7, seven = v.dtype.type(0x7F), v.dtype.type(7)
     pos = np.asarray(positions)
     left = np.asarray(lengths)
     ends = pos + left
     while v.size:
         more = left > 1
-        out[pos] = (v & low7).astype(np.uint8) | (
+        out[pos] = (v & 0x7F).astype(np.uint8) | (
             more.view(np.uint8) << np.uint8(7))
         keep = np.flatnonzero(more)
         v = v[keep]
-        v >>= seven
+        v >>= 7
         pos = pos[keep]
         pos += 1
         left = left[keep]

@@ -39,7 +39,7 @@ def test_run_bench_report_sanity(tmp_path):
 
     out = tmp_path / "bench.csv"
     rep.write_csv(out)
-    with open(out, newline="") as f:
+    with open(out) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 7 and rows[-1]["index"] == "aggregate"
 

@@ -515,7 +515,7 @@ def test_ablate_and_heuristic_on_integer_input(tmp_path, corpus, capsys):
         csv_path = tmp_path / f"{etype}.csv"
         assert run("ablate", "--input", raw, "--shape", "16x64",
                    "--etype", etype, "--csv", csv_path) == 0
-        with open(csv_path, newline="") as f:
+        with open(csv_path) as f:
             ablation[etype] = list(csv.DictReader(f))
         capsys.readouterr()
         assert run("heuristic-eval", "--input", raw, "--shape", "16x64",

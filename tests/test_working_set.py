@@ -5,9 +5,10 @@ case codes a short sequence once to warm up (numpy's and zlib's one-time
 set-up, the cached pack and unpack layouts), then again with fresh states,
 and the largest ``tracemalloc`` peak of any one frame's ``encode`` and of
 any one frame's ``decode`` must stay under a constant number of bytes per
-sample. The constants sit 14-18% above the peaks measured with numpy 2.4
-on Python 3.11, so a change that brings back a frame-sized temporary
-(a uint64 copy of the offsets is 8 bytes per sample) fails here.
+sample. The constants sit about 15% above the peaks measured with numpy
+2.4 on Python 3.11, so a change that brings back a frame-sized temporary
+(a uint64 copy of the offsets is 8 bytes per sample, an int64 index 8 and
+a uint32 word 4) fails here.
 """
 
 import tracemalloc
@@ -25,12 +26,12 @@ FRAMES = 4
 # kind, sample width, precision (um), forced mode, and the bound in bytes
 # per sample on encode and on decode; measured peaks in the comments
 CASES = {
-    # 17.0 / 12.4: P-frames with ~14k exceptions each
-    "driving_like": ("driving_like", 2, 1000, None, 19.5, 14.5),
-    # 19.2 / 11.7: I-frames of 17-bit blocks, one packing width
-    "random": ("random", 2, 1000, None, 22.0, 13.5),
-    # 22.7 / 15.3: P-frames of 26-28 bit blocks, read in 8-byte words
-    "random_p_4byte_1um": ("random", 4, 1, Mode.P, 26.0, 18.0),
+    # 14.1 / 10.2: P-frames with ~14k exceptions each
+    "driving_like": ("driving_like", 2, 1000, None, 16.2, 11.8),
+    # 12.8 / 11.7: I-frames of 17-bit blocks, one packing width
+    "random": ("random", 2, 1000, None, 14.8, 13.5),
+    # 15.7 / 15.3: P-frames of 26-28 bit blocks, read in 8-byte words
+    "random_p_4byte_1um": ("random", 4, 1, Mode.P, 18.0, 17.6),
 }
 
 
