@@ -97,12 +97,10 @@ def write_uvarints(out: np.ndarray, positions: np.ndarray, values: np.ndarray,
     next byte of each is written the same way; after the first byte no
     pass touches a varint that is already complete.
 
-    uint32 ``values`` are worked on as uint32, 4 bytes each; any other
-    integers are read as uint64.
+    ``values`` are nonnegative integers, worked on in their own dtype, so
+    uint32 values take 4 bytes each and are never widened.
     """
     v = np.asarray(values)
-    if v.dtype != np.uint32:
-        v = v.astype(np.uint64, copy=False)
     pos = np.asarray(positions)
     left = np.asarray(lengths)
     ends = pos + left
