@@ -24,7 +24,7 @@ from . import bytecomp
 from .codec import CodecState, EncodedScan, Mode, decode, encode
 from .intcodec import (delta_unwrap, delta_wrap, pfor_decode, pfor_encode,
                        zigzag_unwrap, zigzag_wrap)
-from .scan import QuantizationSpec, Scan, ScanType, quantize
+from .scan import QuantizationSpec, Scan, quantize
 
 _DELTA = (delta_wrap, delta_unwrap)
 _ZIGZAG = (zigzag_wrap, zigzag_unwrap)
@@ -99,26 +99,27 @@ def write_csv(path: str, rows: list[dict]):
 def _roundtrip(scans, mode=None):
     """Encode ``scans`` in one pass and decode the records in a second.
 
-    Each frame's encode and decode is timed on its own; every frame is then
-    compared sample-exact, outside the timings. Returns the records and the
-    per-frame encode and decode seconds.
+    Each frame's encode and decode is timed on its own. Each decoded frame
+    is compared sample-exact after its timed decode and then dropped; the
+    first mismatch is raised once the pass is done. Returns the records
+    and the per-frame encode and decode seconds.
     """
-    proto = scans[0]
     enc_state, dec_state = CodecState(), CodecState()
     encs, enc_frames = [], []
     for scan in scans:
         t0 = time.perf_counter()
         encs.append(encode(scan, enc_state, mode))
         enc_frames.append(time.perf_counter() - t0)
-    decoded, dec_frames = [], []
-    for enc in encs:
+    dec_frames, bad = [], None
+    for i, (scan, enc) in enumerate(zip(scans, encs)):
         t0 = time.perf_counter()
-        decoded.append(decode(enc, dec_state, proto.scan_type,
-                              proto.sample_width, proto.rows, proto.cols))
+        back = decode(enc, dec_state, scan.scan_type, scan.sample_width,
+                      scan.rows, scan.cols)
         dec_frames.append(time.perf_counter() - t0)
-    for i, (a, b) in enumerate(zip(scans, decoded)):
-        if not np.array_equal(a.samples, b.samples):
-            raise AssertionError(f"decode mismatch at frame {i}")
+        if bad is None and not np.array_equal(scan.samples, back.samples):
+            bad = i
+    if bad is not None:
+        raise AssertionError(f"decode mismatch at frame {bad}")
     return encs, enc_frames, dec_frames
 
 
@@ -225,30 +226,27 @@ def run_ablation(scans: list[Scan],
 
 
 def run_sweep(frames: np.ndarray, precisions_um: list[int],
-              sample_width: int = 2,
-              scan_type: ScanType = ScanType.RANGE) -> list[dict]:
-    """Compress the same float sequence at several precisions.
+              sample_width: int = 2) -> list[dict]:
+    """Compress the same float range sequence at several precisions.
 
-    bits/sample counts every sample, masked or not: 8 * output_bytes /
-    (frames * rows * cols).
+    Each precision's scans and records are freed before the next is
+    quantized. bits/sample counts every sample, masked or not:
+    8 * output_bytes / (frames * rows * cols).
     """
     frames = np.asarray(frames)
     if frames.dtype.kind != "f" or frames.ndim != 3 or not frames.size:
         raise ValueError("precision sweep needs a non-empty "
                          "(frames, rows, cols) float array")
     rows = []
-    samples = frames.size
-    in_bytes = frames.nbytes
     for p in precisions_um:
         spec = QuantizationSpec(precision_um=int(p), sample_width=sample_width)
-        scans = [quantize(f, spec, scan_type) for f in frames]
-        encs = _roundtrip(scans)[0]
-        total_out = sum(e.total_bytes for e in encs)
+        total_out = sum(e.total_bytes for e in
+                        _roundtrip([quantize(f, spec) for f in frames])[0])
         rows.append({
             "precision_um": int(p),
-            "bits_per_sample": 8.0 * total_out / samples,
+            "bits_per_sample": 8.0 * total_out / frames.size,
             "output_bytes": total_out,
-            "ratio": in_bytes / total_out,
+            "ratio": frames.nbytes / total_out,
         })
     return rows
 

@@ -75,8 +75,6 @@ def _add_frame_format(p: _Parser):
     """What a raw dump cannot tell; verify reads it from the container."""
     p.add_argument("--shape", required=True, type=_shape,
                    help="frame shape as ROWSxCOLS, e.g. 128x1024")
-    p.add_argument("--scan-type", default="range", choices=sorted(_SCAN_TYPES),
-                   help="scan payload kind (default range)")
     p.add_argument("--sample-width", type=int, default=2, choices=(1, 2, 4),
                    help="quantized sample bytes for float input "
                         "(integer input keeps its own width)")
@@ -86,6 +84,8 @@ def _add_scan_input(p: _Parser):
     """Raw frames turned into scans: float frames are quantized."""
     _add_raw_input(p)
     _add_frame_format(p)
+    p.add_argument("--scan-type", default="range", choices=sorted(_SCAN_TYPES),
+                   help="scan payload kind (default range)")
     p.add_argument("--precision-um", type=int, default=1000,
                    help="quantization step in micrometers (default 1000)")
 
@@ -127,7 +127,8 @@ def build_parser() -> _Parser:
     b.set_defaults(func=cmd_bench)
 
     s = sub.add_parser("sweep", help="ratio vs quantization precision")
-    _add_raw_input(s)
+    s.add_argument("--input", required=True,
+                   help="float32 range frame dump to read")
     _add_frame_format(s)
     s.add_argument("--precisions", required=True, type=_precisions,
                    help="comma-separated precisions in micrometers")
@@ -352,11 +353,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = RawSequenceSpec(args.input, args.etype, *args.shape)
-    frames = rawio.read_all(spec)
-    rows = benchmod.run_sweep(frames, args.precisions,
-                              sample_width=args.sample_width,
-                              scan_type=_SCAN_TYPES[args.scan_type])
+    spec = RawSequenceSpec(args.input, "float32", *args.shape)
+    rows = benchmod.run_sweep(rawio.read_all(spec), args.precisions,
+                              sample_width=args.sample_width)
     print(f"{'precision_um':>12s} {'bits/sample':>11s} {'ratio':>7s}")
     for r in rows:
         print(f"{r['precision_um']:12d} {r['bits_per_sample']:11.3f} "

@@ -45,7 +45,7 @@ class StreamHeader:
     cols: int
     sample_width: int = 2
     precision_um: int = 1000
-    mask_codec: int = 1
+    mask_codec: int = bytecomp.DEFAULT_CODEC
     frame_count: int | None = None      # None while streaming/unknown
 
     def __post_init__(self):

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -68,6 +70,24 @@ def test_every_timed_pass_is_verified(monkeypatch):
     with pytest.raises(AssertionError, match="frame 0"):
         run_bench(scans, reps=1)
     assert len(calls) == 2 * len(scans)
+
+
+def test_roundtrip_holds_no_decoded_copy(monkeypatch):
+    scans = scans_of("static_scene", frames=6)
+    real_decode, decoded, alive = bench.decode, [], []
+
+    def counting_decode(*args):
+        scan = real_decode(*args)
+        # Scan defines __eq__, so it is unhashable and a WeakSet cannot
+        # hold it
+        decoded.append(weakref.ref(scan))
+        alive.append(sum(ref() is not None for ref in decoded))
+        return scan
+
+    monkeypatch.setattr(bench, "decode", counting_decode)
+    run_ablation(scans)
+    assert len(alive) == 2 * len(scans)     # the two shipping-codec rungs
+    assert max(alive) <= 2
 
 
 def test_empty_inputs_rejected(tmp_path):
@@ -151,6 +171,16 @@ def test_sweep_precision_halves_bits(tmp_path):
         assert 0.6 < a - b < 1.4
     for r in rows:
         assert r["ratio"] > 1.0
+
+
+def test_sweep_sample_width_4_keeps_micrometer_steps():
+    seq = generate("static_scene", 4, 64, 128, sparsity=0.03, seed=2)
+    fine, coarse = run_sweep(seq, [1, 1000], sample_width=4)
+    assert (fine["bits_per_sample"], coarse["bits_per_sample"]) == \
+        pytest.approx((19.67, 9.93), abs=0.01)
+    # a 1000x finer step costs about log2(1000) more bits per sample
+    assert fine["bits_per_sample"] - coarse["bits_per_sample"] == \
+        pytest.approx(math.log2(1000), abs=0.5)
 
 
 def test_sweep_requires_float_frames():

@@ -363,8 +363,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):
     # verify takes geometry, scan type, width and precision from the
-    # container header; sweep takes its precisions from --precisions;
-    # heuristic-eval measures the shipping trial size
+    # container header; sweep reads float32 range frames and takes its
+    # precisions from --precisions; heuristic-eval measures the shipping
+    # trial size
     jfy = tmp_path / "seq.jfy"
     run("compress", "--input", corpus, "--shape", "16x64", "--output", jfy)
     for argv in (("verify", "--input", corpus, "--shape", "16x64",
@@ -373,6 +374,10 @@ def test_flags_without_effect_are_not_accepted(tmp_path, corpus, capsys):
                   "--scan-type", "signal", "--container", jfy),
                  ("sweep", "--input", corpus, "--shape", "16x64",
                   "--precision-um", 7, "--precisions", "1000"),
+                 ("sweep", "--input", corpus, "--shape", "16x64",
+                  "--etype", "uint16", "--precisions", "1000"),
+                 ("sweep", "--input", corpus, "--shape", "16x64",
+                  "--scan-type", "signal", "--precisions", "1000"),
                  ("heuristic-eval", "--input", corpus, "--shape", "16x64",
                   "--test-lines", "4")):
         with pytest.raises(SystemExit) as ei:
@@ -413,6 +418,17 @@ def test_sweep_and_ablate_and_heuristic(tmp_path, capsys):
     assert rows[0] == ["precision_um", "bits_per_sample", "output_bytes",
                        "ratio"]
     assert [r[0] for r in rows[1:]] == ["1000", "2000"]
+    # 4-byte samples hold these ranges in 1 um steps; 2-byte ones cannot
+    assert run("sweep", "--input", raw, "--shape", "32x256",
+               "--sample-width", 4, "--precisions", "1,1000",
+               "--csv", sweep_csv) == 0
+    capsys.readouterr()
+    with open(sweep_csv) as f:
+        got = [int(r["output_bytes"]) for r in csv.DictReader(f)]
+    frames = read_all(RawSequenceSpec(raw, "float32", 32, 256))
+    assert got == [r["output_bytes"] for r in
+                   bench.run_sweep(frames, [1, 1000], sample_width=4)]
+    assert got[0] != bench.run_sweep(frames, [1])[0]["output_bytes"]
 
     csv_path = tmp_path / "ab.csv"
     assert run("ablate", "--input", raw, "--shape", "32x256",
