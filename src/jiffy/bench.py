@@ -231,7 +231,9 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
 
     Each precision's scans and records are freed before the next is
     quantized. bits/sample counts every sample, masked or not:
-    8 * output_bytes / (frames * rows * cols).
+    8 * output_bytes / (frames * rows * cols). clamped_samples counts the
+    finite ranges past the width ceiling, which quantize to its maximum,
+    so a ratio over clamped data shows as such.
     """
     frames = np.asarray(frames)
     if frames.dtype.kind != "f" or frames.ndim != 3 or not frames.size:
@@ -247,8 +249,18 @@ def run_sweep(frames: np.ndarray, precisions_um: list[int],
             "bits_per_sample": 8.0 * total_out / frames.size,
             "output_bytes": total_out,
             "ratio": frames.nbytes / total_out,
+            "clamped_samples": sum(_clamped(f, spec) for f in frames),
         })
     return rows
+
+
+def _clamped(frame: np.ndarray, spec: QuantizationSpec) -> int:
+    """Finite ranges of ``frame`` that ``quantize`` clamps to the width
+    ceiling: scaled and rounded as it does, above the maximum, not +inf."""
+    with np.errstate(over="ignore"):
+        q = np.multiply(frame, 1e6 / spec.precision_um, dtype=np.float64)
+    np.rint(q, out=q)
+    return int(np.count_nonzero((q > spec.max_sample) & (q < np.inf)))
 
 
 def run_heuristic_eval(scans: list[Scan]) -> dict:

@@ -356,10 +356,11 @@ def cmd_sweep(args) -> int:
     spec = RawSequenceSpec(args.input, "float32", *args.shape)
     rows = benchmod.run_sweep(rawio.read_all(spec), args.precisions,
                               sample_width=args.sample_width)
-    print(f"{'precision_um':>12s} {'bits/sample':>11s} {'ratio':>7s}")
+    print(f"{'precision_um':>12s} {'bits/sample':>11s} {'ratio':>7s} "
+          f"{'clamped':>9s}")
     for r in rows:
         print(f"{r['precision_um']:12d} {r['bits_per_sample']:11.3f} "
-              f"{r['ratio']:7.2f}")
+              f"{r['ratio']:7.2f} {r['clamped_samples']:9d}")
     if args.csv:
         benchmod.write_csv(args.csv, rows)
     return EXIT_OK

@@ -49,6 +49,13 @@ uint64 for packing (a slice's uint32 gather is freed before it is packed).
 The exception write holds a few arrays per exception, frees each once it
 is read, and keeps the remainders uint32.
 
+The decoder keeps the same bound. Its frame-sized arrays are the padded
+copy of the stream and the uint32 output; the rest are per block or per
+exception. Each width's packed rows and the offsets unpacked from them are
+built one slice of ``_SLICE`` blocks at a time, the last slice's freed
+before the overflow check, and :func:`zigzag_unwrap` works one slice of
+values at a time.
+
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
 shifted left by ``i*w & 63`` and summed into word ``i*w >> 6`` (fields in a
@@ -114,8 +121,9 @@ from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
 BLOCK_SIZE = 128
 
 # Blocks per slice of the large scratch arrays: the encoder's histogram
-# index and packing words, and ZigZag decoding's odd word, are built one
-# slice at a time, so they stay this size however large the frame.
+# index and packing words, the decoder's unpacked rows and words, and ZigZag
+# decoding's odd word are built one slice at a time, so they stay this size
+# however large the frame.
 _SLICE = 256
 
 _U32_MAX = 0xFFFFFFFF
@@ -595,19 +603,21 @@ def _unpack_blocks(arr: np.ndarray, refs, widths, offs, n: int) -> np.ndarray:
     cuts = [0, *(np.flatnonzero(np.diff(widths[order])) + 1).tolist(),
             refs.size]
     for a, b in zip(cuts, cuts[1:]):
-        sel = order[a:b]
-        word, row, at, shift, mask = _unpack_layout(int(widths[sel[0]]))
+        word, row, at, shift, mask = _unpack_layout(int(widths[order[a]]))
         # rows_at[p] is the row of bytes at p: one contiguous copy per block
         rows_at = np.ndarray((arr.size - row + 1, row), np.uint8, arr, 0,
                              (1, 1))
-        rows = rows_at[offs[sel]]
-        # words[k, i] is the (unaligned) word at byte i of row k
-        words = np.ndarray((b - a, row - word.itemsize + 1), word, rows, 0,
-                           (row, 1))
-        vals = words[:, at]
-        vals >>= shift
-        vals &= mask
-        out[sel] = vals
+        for s in range(a, b, _SLICE):
+            sel = order[s:min(s + _SLICE, b)]
+            rows = rows_at[offs[sel]]
+            # words[k, i] is the (unaligned) word at byte i of row k
+            words = np.ndarray((sel.size, row - word.itemsize + 1), word,
+                               rows, 0, (row, 1))
+            vals = words[:, at]
+            vals >>= shift
+            vals &= mask
+            out[sel] = vals
+            del rows, words, vals
     # Detect uint32 overflow (only corrupt streams produce it); a reference
     # leaving room for every width-bit offset needs no per-value look.
     risky = np.flatnonzero(refs.astype(np.int64) + (1 << widths) - 1

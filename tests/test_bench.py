@@ -183,6 +183,26 @@ def test_sweep_sample_width_4_keeps_micrometer_steps():
         pytest.approx(math.log2(1000), abs=0.5)
 
 
+def test_sweep_counts_clamped_samples():
+    seq = generate("static_scene", 4, 64, 128, sparsity=0.03, seed=2)
+    fine, coarse = run_sweep(seq, [1, 1000])
+    # 2-byte samples hold 65.535 mm in 1 um steps: rint(x) > 65535 clamps,
+    # which for finite x is x >= 65535.5 um (the tie rounds to even, 65536)
+    assert fine["clamped_samples"] == np.count_nonzero(
+        seq.astype(np.float64) * 1e6 >= 65535.5) > 0
+    assert coarse["clamped_samples"] == 0
+    assert run_sweep(seq, [1], sample_width=4)[0]["clamped_samples"] == 0
+
+
+def test_sweep_clamp_count_skips_nonfinite_ranges():
+    # NaN, +-inf and negatives quantize to the 0 sentinel, not the maximum;
+    # 1e308 m scales past float64 and so becomes +inf, the sentinel too
+    seq = np.full((1, 2, 4), 70.0)
+    seq[0, 0] = [np.nan, np.inf, -np.inf, -1.0]
+    seq[0, 1, 0] = 1e308
+    assert run_sweep(seq, [1])[0]["clamped_samples"] == 3
+
+
 def test_sweep_requires_float_frames():
     for seq in (np.zeros((2, 4, 8), dtype=np.uint16),
                 np.ones((4, 8), dtype=np.float32),          # one frame, 2-D

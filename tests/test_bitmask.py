@@ -105,6 +105,39 @@ def test_both_gathers_agree_with_boolean_indexing(monkeypatch, name,
     check_compact_expand(EDGE_MASKS[name])
 
 
+def _gapped_mask():
+    """Four slices: scattered, fully masked, fully clear, scattered."""
+    mask = rand_mask((1, 4 * bitmask._SLICE))
+    mask[0, bitmask._SLICE:2 * bitmask._SLICE] = True
+    mask[0, 2 * bitmask._SLICE:3 * bitmask._SLICE] = False
+    return mask
+
+
+SLICED_MASKS = {
+    "one row, short last slice": rand_mask((1, 3 * bitmask._SLICE + 5)),
+    "130 rows": rand_mask((130, 1024)),
+    "masked and clear slices": _gapped_mask(),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("name", sorted(SLICED_MASKS))
+def test_expand_across_sample_slices(monkeypatch, name, dtype):
+    # every mask spans several of expand's slices, values reach the maximum
+    monkeypatch.setattr(bitmask, "_FRAGMENTED", -1.0)   # flat indices
+    mask = SLICED_MASKS[name]
+    assert bitmask._fragmented(mask) and mask.size > 3 * bitmask._SLICE
+    top = np.iinfo(dtype).max
+    n = int(np.count_nonzero(~mask))
+    values = np.random.default_rng(3).integers(1, top, n, dtype=np.uint32,
+                                               endpoint=True)
+    values[::5] = top
+    out = expand(values, mask, dtype)
+    assert out.dtype == dtype
+    assert np.array_equal(out, boolean_expand(values, mask, dtype))
+    assert np.array_equal(out[~mask], values)
+
+
 @pytest.mark.parametrize("mean_run, fragmented",
                          [(1, True), (4, True), (8, True), (32, False),
                           (64, False), (400, False)])

@@ -413,10 +413,11 @@ def test_sweep_and_ablate_and_heuristic(tmp_path, capsys):
                "--precisions", "1000,2000", "--csv", sweep_csv) == 0
     out = capsys.readouterr().out
     assert "1000" in out and "2000" in out and "bits/sample" in out
+    assert "clamped" in out
     with open(sweep_csv) as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["precision_um", "bits_per_sample", "output_bytes",
-                       "ratio"]
+                       "ratio", "clamped_samples"]
     assert [r[0] for r in rows[1:]] == ["1000", "2000"]
     # 4-byte samples hold these ranges in 1 um steps; 2-byte ones cannot
     assert run("sweep", "--input", raw, "--shape", "32x256",
