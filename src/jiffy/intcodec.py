@@ -49,12 +49,12 @@ uint64 for packing (a slice's uint32 gather is freed before it is packed).
 The exception write holds a few arrays per exception, frees each once it
 is read, and keeps the remainders uint32.
 
-The decoder keeps the same bound. Its frame-sized arrays are the padded
-copy of the stream and the uint32 output; the rest are per block or per
+The decoder keeps the same bound. Beside its copies of the stream, its
+only frame-sized array is the uint32 output; the rest are per block or per
 exception. Each width's packed rows and the offsets unpacked from them are
-built one slice of ``_SLICE`` blocks at a time, the last slice's freed
-before the overflow check, and :func:`zigzag_unwrap` works one slice of
-values at a time.
+built one slice of ``_SLICE`` blocks at a time and freed before the next
+slice (the last before the overflow check), and :func:`zigzag_unwrap`
+works one slice of values at a time.
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -121,9 +121,9 @@ from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
 BLOCK_SIZE = 128
 
 # Blocks per slice of the large scratch arrays: the encoder's histogram
-# index and packing words, the decoder's unpacked rows and words, and ZigZag
-# decoding's odd word are built one slice at a time, so they stay this size
-# however large the frame.
+# index and packing words, the decoder's packed rows and unpacked offsets,
+# and ZigZag decoding's odd word are built one slice at a time, so they stay
+# this size however large the frame.
 _SLICE = 256
 
 _U32_MAX = 0xFFFFFFFF
