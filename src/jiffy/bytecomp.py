@@ -70,8 +70,9 @@ def parse_block(buf: bytes, offset: int,
     if codec_id == DEFLATE:
         do = zlib.decompressobj(wbits=-15)
         try:
-            # ulen + 1 so an over-long stream is caught by the length check
-            data = do.decompress(bytes(buf[pos:]), ulen + 1)
+            # ulen + 1 so an over-long stream is caught by the length check;
+            # a view, as the rest of the record follows the block
+            data = do.decompress(memoryview(buf)[pos:], ulen + 1)
         except zlib.error as e:
             raise CorruptStreamError(f"bad deflate mask block: {e}") from None
         if len(data) != ulen:

@@ -258,7 +258,8 @@ def cmd_compress(args) -> int:
             writer.write_frame(enc)
             p_scans += enc.mode == Mode.P
         writer.close()
-        total_out = sink.tell()
+    # counted, not told: a pipe cannot tell, and /dev/null tells 0
+    total_out = writer.bytes_written
 
     if n == 0:
         print(f"wrote {args.output}: 0 frames, ratio n/a")

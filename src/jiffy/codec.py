@@ -165,6 +165,7 @@ def encode(scan: Scan, state: CodecState, mode: Mode | None = None,
         # residuals against the previous scan; uint32 wraps
         values = np.subtract(values, state.samples, dtype=np.uint32)
     mask_block = bytecomp.compress_block(pack_mask(mask_bits), mask_codec)
+    del mask_bits   # on P-scans a second whole-frame mask
     # each stage drops its input, so PFOR runs beside the ZigZag codes alone
     values = compact(values, mask)
     values = delta_wrap(values)
@@ -199,10 +200,11 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
     if enc.value_count != clear:
         raise CorruptStreamError(
             f"value count {enc.value_count} does not match mask ({clear})")
-    # the PFOR codes are dropped once ZigZag has read them
-    values = zigzag_unwrap(pfor_decode(enc.value_block, clear))
+    # pfor_decode returns a new array, so each unwrap works in it in place
+    values = pfor_decode(enc.value_block, clear)
+    zigzag_unwrap(values, out=values)
     if not (is_p and enc.residual_plain):   # mode bit1 counts on P-scans only
-        values = delta_unwrap(values)
+        delta_unwrap(values, out=values)
     if is_p:    # uint32, wraps back to the samples
         values += compact(state.samples, cur_mask)
 
@@ -210,6 +212,8 @@ def decode(enc: EncodedScan, state: CodecState, scan_type: ScanType,
         raise CorruptStreamError("decoded sample exceeds sample width")
     if values.size and not values.all():
         raise CorruptStreamError("zero sample outside the mask")
+    # narrowed once, so expand does not run beside the uint32 values
+    values = values.astype(dtype, copy=False)
     samples = expand(values, cur_mask, dtype)
     del values              # freed before the reference copy below
     # a copy: the caller may edit the samples it gets back

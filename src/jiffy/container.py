@@ -93,13 +93,15 @@ class StreamWriter:
     """Appends checksummed frames to a binary sink.
 
     When the header declares a frame count, close() verifies it; a streaming
-    header (frame_count=None) accepts any number of frames.
+    header (frame_count=None) accepts any number of frames. ``bytes_written``
+    counts the bytes given to the sink, which need not be seekable.
     """
 
     def __init__(self, sink, header: StreamHeader):
         self._sink = sink
         self.header = header
         self.frames_written = 0
+        self.bytes_written = HEADER_SIZE
         sink.write(header.to_bytes())
 
     def write_frame(self, enc: EncodedScan):
@@ -107,6 +109,7 @@ class StreamWriter:
         self._sink.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
         self._sink.write(payload)
         self.frames_written += 1
+        self.bytes_written += _FRAME.size + len(payload)
 
     def close(self):
         declared = self.header.frame_count

@@ -47,14 +47,19 @@ bit lengths are read from. Its larger scratch arrays are built one slice of
 frame: the int64 histogram index, and each width's offsets widened to
 uint64 for packing (a slice's uint32 gather is freed before it is packed).
 The exception write holds a few arrays per exception, frees each once it
-is read, and keeps the remainders uint32.
+is read, and keeps the remainders uint32. Its byte offsets into the output
+are int32, the narrowest signed type that indexes it (int64 only from
+2 GiB).
 
 The decoder keeps the same bound. Beside its copies of the stream, its
 only frame-sized array is the uint32 output; the rest are per block or per
 exception. Each width's packed rows and the offsets unpacked from them are
 built one slice of ``_SLICE`` blocks at a time and freed before the next
-slice (the last before the overflow check), and :func:`zigzag_unwrap`
-works one slice of values at a time.
+slice (the last before the overflow check). :func:`zigzag_unwrap` works
+one slice of values at a time, and it and :func:`delta_unwrap` write into
+an ``out`` array that may be their input. ``codec.decode`` owns the array
+:func:`pfor_decode` returns, so it unwraps that array in place: the values
+stay one frame-sized array from the PFOR output to the cast to samples.
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -155,10 +160,15 @@ def delta_wrap(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta_unwrap(deltas: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`delta_wrap` (modular prefix sum per row)."""
+def delta_unwrap(deltas: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Inverse of :func:`delta_wrap` (modular prefix sum per row).
+
+    ``out``, a uint32 array of the input's shape, receives the result and
+    may be the input itself: the sum then runs in place, with no copy.
+    """
     d = _as_u32(deltas)
-    return np.cumsum(d, axis=-1, dtype=np.uint32)
+    return np.cumsum(d, axis=-1, dtype=np.uint32, out=_check_out(out, d))
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +191,17 @@ def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
     return out
 
 
-def zigzag_unwrap(codes: np.ndarray) -> np.ndarray:
+def zigzag_unwrap(codes: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Inverse of :func:`zigzag_wrap`: an even code c is ``c >> 1``, an odd
     one ``~((c - 2) >> 1)``, so code 1 wraps onto 0x80000000 (-2^31).
 
-    Works one slice of values at a time, so beside the codes and the output
-    only one slice's odd word is held.
+    ``out``, a uint32 array of the input's shape, receives the result and
+    may be the input itself. Works one slice of values at a time, so beside
+    the codes and the output only one slice's odd word is held.
     """
     c = _as_u32(codes)
-    out = np.empty_like(c)
+    out = np.empty_like(c) if out is None else _check_out(out, c)
     flat_c, flat_out = c.reshape(-1), out.reshape(-1)
     step = _SLICE * BLOCK_SIZE
     for s in range(0, c.size, step):
@@ -412,6 +424,17 @@ def _as_u32(values) -> np.ndarray:
     return np.ascontiguousarray(a.astype(np.uint32))
 
 
+def _check_out(out, a: np.ndarray):
+    """``out`` itself, if it can take an unwrap of ``a`` in place: a
+    C-contiguous uint32 array of ``a``'s shape (or None, for a new array)."""
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.uint32
+            and out.shape == a.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous uint32 array of the "
+                         "input's shape")
+    return out
+
+
 def _bit_lengths(a: np.ndarray) -> np.ndarray:
     """Bit length of each uint32 of ``a``, as uint8 of ``a``'s shape.
 
@@ -560,17 +583,21 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         evlen += 6
         evlen //= 7
         first = np.cumsum(exc_counts) - exc_counts
+        # per-exception byte offsets in the narrowest type indexing buf
+        index_t = np.int32 if buf.size < 2**31 else np.int64
         # exception k of block b has rank k - first[b] among its positions
-        at = np.repeat(exc_start - first, exc_counts)
-        at += np.arange(total_exc)
+        at = np.repeat((exc_start - first).astype(index_t), exc_counts)
+        at += np.arange(total_exc, dtype=index_t)
         flat &= 127
         buf[at] = flat
         del flat, at
-        g = np.zeros(total_exc + 1, dtype=np.int64)
-        np.cumsum(evlen, out=g[1:], dtype=np.int64)
+        g = np.zeros(total_exc + 1, dtype=index_t)
+        np.cumsum(evlen, out=g[1:], dtype=index_t)
         # and its remainder starts g[k] - g[first[b]] bytes past them
-        at = np.repeat(exc_start + exc_counts - g[first], exc_counts)
+        at = np.repeat((exc_start + exc_counts - g[first]).astype(index_t),
+                       exc_counts)
         at += g[:-1]
+        del g
         write_uvarints(buf, at, evals, evlen)
     return buf[:size].tobytes()
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +315,40 @@ def test_compress_reports_container_size(tmp_path, corpus, capsys):
                "--output", jfy) == 0
     size = jfy.stat().st_size
     assert f"{4 * 16 * 64 * 4} -> {size} bytes" in capsys.readouterr().out
+
+
+def _reported_size(out: str) -> int:
+    return int(out.split(" -> ")[1].split(" bytes")[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_compress_to_device_and_pipe_reports_container_size(tmp_path, capsys):
+    # Two full-size frames outgrow the write buffer, so a sink that cannot
+    # tell its position (a pipe) or tells 0 (/dev/null) is really written.
+    raw, jfy, fifo = (tmp_path / n for n in ("in.f32", "out.jfy", "pipe"))
+    assert run("gen", "--kind", "driving_like", "--frames", 2,
+               "--output", raw) == 0
+    args = ("compress", "--input", raw, "--shape", "128x1024", "--output")
+    assert run(*args, jfy) == 0
+    size = _reported_size(capsys.readouterr().out)
+    assert size == jfy.stat().st_size
+
+    assert run(*args, os.devnull) == 0
+    assert _reported_size(capsys.readouterr().out) == size
+
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so a compress that never opens the pipe cannot hang the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        code = run(*args, fifo)
+    finally:
+        reader.join(timeout=60)
+    assert code == 0
+    assert _reported_size(capsys.readouterr().out) == size
+    assert got == [jfy.read_bytes()]
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -155,6 +155,17 @@ def test_streaming_mode_reads_to_eof():
     assert len(list(reader)) == 4
 
 
+def test_bytes_written_counts_the_stream():
+    head = StreamHeader(ScanType.RANGE, 2, 4)
+    buf = io.BytesIO()
+    state = CodecState()
+    with StreamWriter(buf, head) as w:
+        assert w.bytes_written == len(buf.getvalue()) == HEADER_SIZE
+        for s in small_scans(3):
+            w.write_frame(encode(s, state))
+            assert w.bytes_written == len(buf.getvalue())
+
+
 def test_declared_count_enforced_on_close():
     head = StreamHeader(ScanType.RANGE, 2, 4, frame_count=2)
     buf = io.BytesIO()

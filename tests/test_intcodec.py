@@ -135,6 +135,35 @@ def test_zigzag_unwrap_across_slices(shape):
         ref_unzigzag(c) for c in codes.reshape(-1).tolist()]
 
 
+@pytest.mark.parametrize("shape", [(300,), (_SLICE * BLOCK_SIZE + 7,),
+                                   (3, 200), (2, _SLICE * BLOCK_SIZE // 2 + 3)])
+def test_unwraps_in_place_match_out_of_place(shape):
+    rng = np.random.default_rng(sum(shape))
+    v = rng.integers(0, 1 << 32, size=shape, dtype=np.uint64).astype(np.uint32)
+    v[..., 0] = 1                   # code 1, the wrapped -2^31 word
+    v[..., 1] = 0xFFFFFFFF          # so each row's prefix sum wraps to 0
+    assert not delta_unwrap(v)[..., 1].any()
+    for unwrap in (zigzag_unwrap, delta_unwrap):
+        want = unwrap(v)
+        got = v.copy()
+        assert unwrap(got, out=got) is got
+        assert np.array_equal(got, want)
+        into = np.empty_like(v)
+        assert unwrap(v, out=into) is into
+        assert np.array_equal(into, want)
+    assert np.all(zigzag_unwrap(v, out=v)[..., 0] == 0x80000000)
+
+
+@pytest.mark.parametrize("out", [np.empty(4, np.int64), np.empty(5, np.uint32),
+                                 np.empty((2, 4), np.uint32)[:, ::2],
+                                 [0, 0, 0, 0]])
+def test_unwraps_reject_an_unfit_out(out):
+    v = np.ones((2, 2) if np.ndim(out) == 2 else 4, dtype=np.uint32)
+    for unwrap in (zigzag_unwrap, delta_unwrap):
+        with pytest.raises(ValueError, match="out must be"):
+            unwrap(v, out=out)
+
+
 @given(st.lists(st.integers(min_value=-(1 << 30), max_value=(1 << 30)),
                 min_size=1, max_size=100))
 def test_zigzag_wrap_agrees_with_scalar(values):

@@ -26,13 +26,13 @@ FRAMES = 4
 # kind, sample width, precision (um), forced mode, and the bound in bytes
 # per sample on encode and on decode; measured peaks in the comments
 CASES = {
-    # 14.1 / 10.2: P-frames with ~14k exceptions each
-    "driving_like": ("driving_like", 2, 1000, None, 16.2, 11.8),
-    # 12.8 / 9.0: I-frames of 17-bit blocks, one packing width, scattered
+    # 11.9 / 10.2: P-frames with ~14k exceptions each
+    "driving_like": ("driving_like", 2, 1000, None, 13.7, 11.8),
+    # 12.8 / 7.7: I-frames of 17-bit blocks, one packing width, scattered
     # masks expanded one slice at a time
-    "random": ("random", 2, 1000, None, 14.8, 10.4),
-    # 15.7 / 12.4: P-frames of 26-28 bit blocks, read in 8-byte words
-    "random_p_4byte_1um": ("random", 4, 1, Mode.P, 18.0, 14.2),
+    "random": ("random", 2, 1000, None, 14.8, 8.9),
+    # 14.7 / 12.4: P-frames of 26-28 bit blocks, read in 8-byte words
+    "random_p_4byte_1um": ("random", 4, 1, Mode.P, 16.9, 14.2),
 }
 
 
