@@ -160,8 +160,8 @@ def delta_wrap(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta_unwrap(deltas: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+def delta_unwrap(deltas: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`delta_wrap` (modular prefix sum per row).
 
     ``out``, a uint32 array of the input's shape, receives the result and
@@ -191,8 +191,8 @@ def zigzag_wrap(deltas: np.ndarray) -> np.ndarray:
     return out
 
 
-def zigzag_unwrap(codes: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
+def zigzag_unwrap(codes: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`zigzag_wrap`: an even code c is ``c >> 1``, an odd
     one ``~((c - 2) >> 1)``, so code 1 wraps onto 0x80000000 (-2^31).
 

@@ -28,6 +28,9 @@ FRAMES = 4
 CASES = {
     # 11.9 / 10.2: P-frames with ~14k exceptions each
     "driving_like": ("driving_like", 2, 1000, None, 13.7, 11.8),
+    # 11.9 / 7.0: forced I-frames, whose decode read 8.7 with the values
+    # unwrapped into copies rather than in place
+    "driving_like_i": ("driving_like", 2, 1000, Mode.I, 13.7, 8.1),
     # 12.8 / 7.7: I-frames of 17-bit blocks, one packing width, scattered
     # masks expanded one slice at a time
     "random": ("random", 2, 1000, None, 14.8, 8.9),
