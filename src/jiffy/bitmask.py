@@ -19,8 +19,8 @@ below) compact in 0.09-0.16 against 0.16-0.22 ms with boolean indexing.
 Both ways give identical arrays. Each call chooses its own indices from the
 mask it is given. :func:`compact` takes one index over the whole mask;
 :func:`expand` takes one per slice of ``_SLICE`` (32,768) samples and
-scatters that slice's values, cast to the sample dtype, so its index and
-cast stay slice-sized however large the frame.
+scatters that slice's values (the assignment casts them to the sample
+dtype), so its index stays slice-sized however large the frame.
 """
 
 import numpy as np
@@ -84,7 +84,7 @@ def expand(values: np.ndarray, mask: np.ndarray, dtype) -> np.ndarray:
         index = np.flatnonzero(~flat_mask[s:s + _SLICE])
         part = values[at:at + index.size]
         at += index.size
-        flat_out[s:s + _SLICE][index] = part.astype(out.dtype, copy=False)
+        flat_out[s:s + _SLICE][index] = part
     return out
 
 

@@ -46,20 +46,20 @@ bit lengths are read from. Its larger scratch arrays are built one slice of
 ``_SLICE`` (256) blocks at a time, so they stay that size however large the
 frame: the int64 histogram index, and each width's offsets widened to
 uint64 for packing (a slice's uint32 gather is freed before it is packed).
-The exception write holds a few arrays per exception, frees each once it
-is read, and keeps the remainders uint32. Its byte offsets into the output
-are int32, the narrowest signed type that indexes it (int64 only from
-2 GiB).
+The exception write holds a few arrays per exception, frees the two that
+would set its peak, and keeps the remainders uint32. Its byte offsets
+into the output are int32, the narrowest signed type that indexes it
+(int64 only from 2 GiB).
 
 The decoder keeps the same bound. Beside its copies of the stream, its
 only frame-sized array is the uint32 output; the rest are per block or per
 exception. Each width's packed rows and the offsets unpacked from them are
 built one slice of ``_SLICE`` blocks at a time and freed before the next
-slice (the last before the overflow check). :func:`zigzag_unwrap` works
-one slice of values at a time, and it and :func:`delta_unwrap` write into
-an ``out`` array that may be their input. ``codec.decode`` owns the array
-:func:`pfor_decode` returns, so it unwraps that array in place: the values
-stay one frame-sized array from the PFOR output to the cast to samples.
+slice (the last before the overflow check). :func:`zigzag_unwrap` and
+:func:`delta_unwrap` write into an ``out`` array that may be their input:
+``codec.decode`` unwraps the array :func:`pfor_decode` returns in place, so
+the values stay one frame-sized array up to the cast to samples (ZigZag's
+frame-sized uint32 odd word stays below the parse's peak).
 
 The write step packs whole blocks per width with 64-bit words, the mirror
 of the decoder's word reads below: offset i, masked to its low w bits, is
@@ -126,9 +126,9 @@ from .varint import (decode_uvarint, decode_uvarints, encode_uvarint,
 BLOCK_SIZE = 128
 
 # Blocks per slice of the large scratch arrays: the encoder's histogram
-# index and packing words, the decoder's packed rows and unpacked offsets,
-# and ZigZag decoding's odd word are built one slice at a time, so they stay
-# this size however large the frame.
+# index and packing words and the decoder's packed rows and unpacked
+# offsets are built one slice at a time, so they stay this size however
+# large the frame.
 _SLICE = 256
 
 _U32_MAX = 0xFFFFFFFF
@@ -197,20 +197,16 @@ def zigzag_unwrap(codes: np.ndarray,
     one ``~((c - 2) >> 1)``, so code 1 wraps onto 0x80000000 (-2^31).
 
     ``out``, a uint32 array of the input's shape, receives the result and
-    may be the input itself. Works one slice of values at a time, so beside
-    the codes and the output only one slice's odd word is held.
+    may be the input itself. Six ufunc calls over the whole array; beside
+    the codes and the output, only the uint32 odd word is held.
     """
     c = _as_u32(codes)
     out = np.empty_like(c) if out is None else _check_out(out, c)
-    flat_c, flat_out = c.reshape(-1), out.reshape(-1)
-    step = _SLICE * BLOCK_SIZE
-    for s in range(0, c.size, step):
-        part, o = flat_c[s:s + step], flat_out[s:s + step]
-        odd = part & 1
-        np.subtract(part, odd, out=o)
-        o -= odd                                 # c - 2 on odd codes
-        o >>= 1
-        o ^= np.negative(odd, out=odd)           # ~ on odd codes
+    odd = c & 1
+    np.subtract(c, odd, out=out)
+    out -= odd                                   # c - 2 on odd codes
+    out >>= 1
+    out ^= np.negative(odd, out=odd)             # ~ on odd codes
     return out
 
 
@@ -579,7 +575,6 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         # a remainder has the offset's bit length less the width
         evlen = c.bitlen.reshape(-1)[flat]
         evlen -= ewidth
-        del ewidth
         evlen += 6
         evlen //= 7
         first = np.cumsum(exc_counts) - exc_counts
@@ -597,7 +592,6 @@ def _write_blocks(c: _BlockCosts) -> bytes:
         at = np.repeat((exc_start + exc_counts - g[first]).astype(index_t),
                        exc_counts)
         at += g[:-1]
-        del g
         write_uvarints(buf, at, evals, evlen)
     return buf[:size].tobytes()
 
@@ -671,7 +665,6 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,
     at = np.repeat(starts - first, counts)
     at += np.arange(nexc)
     positions = arr[at]
-    del at
     # Each position must exceed its predecessor, but a block's first may
     # restart; a rising block is in range when its last position is.
     rising = positions[1:] > positions[:-1]
@@ -690,7 +683,6 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,
     # Each run holds exactly its block's count of varints (the header walk
     # counted them), so remainders line up with positions.
     rems = decode_uvarints(rem_bytes, 5)
-    del rem_bytes
     if not rems.all():
         raise CorruptStreamError("zero exception remainder")
     shift = np.repeat(widths.astype(np.uint8), counts)
@@ -700,9 +692,7 @@ def _patch_exceptions(arr: np.ndarray, out: np.ndarray, n: int, blocks,
 
     idx = np.repeat(blocks * BLOCK_SIZE, counts)
     idx += positions
-    del positions
     patched = rems << shift                         # uint64: no wrap
-    del shift
     patched += out[idx]
     if patched.max() > _U32_MAX:
         raise CorruptStreamError("patched value overflows uint32")

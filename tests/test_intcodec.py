@@ -124,8 +124,8 @@ def test_zigzag_wrap_min_int_lands_on_code_one():
     (_SLICE * BLOCK_SIZE - 1,), (_SLICE * BLOCK_SIZE,),
     (_SLICE * BLOCK_SIZE + 1,), (2 * _SLICE * BLOCK_SIZE + 1,),
     (3, _SLICE * BLOCK_SIZE // 2 + 1)])
-def test_zigzag_unwrap_across_slices(shape):
-    # decoding works one slice of _SLICE blocks' values at a time
+def test_zigzag_unwrap_large_arrays(shape):
+    # one pass over arrays of up to two PFOR slices' values, 1-D and 2-D
     codes = np.random.default_rng(sum(shape)).integers(
         0, 1 << 32, size=shape, dtype=np.uint64).astype(np.uint32)
     codes[codes == 1] = 3           # the scalar inverse maps code 1 to 0
@@ -741,6 +741,21 @@ def test_pfor_truncation_always_detected():
     enc, _ = _valid_stream()
     for cut in range(len(enc)):
         with pytest.raises((TruncatedStreamError, CorruptStreamError)):
+            pfor_decode(enc[:cut])
+
+
+@pytest.mark.parametrize("n", [200, 256])
+def test_pfor_cut_in_final_packed_area_is_truncation(n):
+    # the final block has no exception area, so only the payload check sees
+    # the cut; past it, the walk would end beyond the stream
+    v = np.arange(n, dtype=np.uint32) % 7
+    enc = pfor_encode(v)
+    last = list(iter_blocks(enc))[-1]
+    assert last.bit_width == 3 and not last.exceptions
+    packed = (last.length * 3 + 7) // 8
+    for cut in range(len(enc) - packed, len(enc)):
+        with pytest.raises(TruncatedStreamError,
+                           match="truncated block payload"):
             pfor_decode(enc[:cut])
 
 

@@ -36,6 +36,8 @@ CASES = {
     "random": ("random", 2, 1000, None, 14.8, 8.9),
     # 14.7 / 12.4: P-frames of 26-28 bit blocks, read in 8-byte words
     "random_p_4byte_1um": ("random", 4, 1, Mode.P, 16.9, 14.2),
+    # 8.4 / 5.1: 75% zeros, ~256 blocks per frame
+    "sparse_vertical": ("sparse_vertical", 2, 1000, None, 9.7, 5.9),
 }
 
 
